@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .states import BellKind, RotationSpec, TwoAtomState, bell_vector, global_rotation
 
@@ -252,6 +251,9 @@ def gaussian_lifetime_fit(times, fidelities, baseline: float = 0.5) -> float:
     (1/2 for Bell states losing only coherence). Constant input data has no
     decay scale and returns an infinite tau sentinel.
     """
+    # scipy.optimize is most of carvesim's import time; only this fit needs it
+    from scipy.optimize import curve_fit
+
     times = np.asarray(times, dtype=float)
     fids = np.asarray(fidelities, dtype=float)
     if times.ndim != 1 or times.shape != fids.shape or len(times) < 3:
@@ -324,23 +326,27 @@ def simulate_detection(
     return int(gen.poisson(t_mean)), int(gen.poisson(f_mean))
 
 
-def classify(t_count: int, f_count: int, rates: DetectionRates) -> str:
-    """Two-window decision tree over the count pair.
+# assigned-class index (into DETECTION_CLASSES + ("inconsistent",)) for
+# 2 * transmission_high + fluorescence_high
+_DECISION = np.array([2, 1, 3, 0])
+
+
+def _assign(t_counts, f_counts, rates: DetectionRates):
+    """Two-window decision for count pairs, as assigned-class indices.
 
     High transmission plus fluorescence is down_down; low transmission with
     no fluorescence is up_up (the pi pulse moved it to down_down, which stays
     dark); low transmission with fluorescence is antiparallel. High
     transmission with no fluorescence contradicts itself.
     """
-    t_high = t_count > rates.transmission_threshold
-    f_high = f_count > rates.fluorescence_threshold
-    if t_high and f_high:
-        return "down_down"
-    if t_high:
-        return "inconsistent"
-    if f_high:
-        return "antiparallel"
-    return "up_up"
+    t_high = np.greater(t_counts, rates.transmission_threshold)
+    f_high = np.greater(f_counts, rates.fluorescence_threshold)
+    return _DECISION[2 * t_high + f_high]
+
+
+def classify(t_count: int, f_count: int, rates: DetectionRates) -> str:
+    """Assigned class of one (transmission, fluorescence) count pair."""
+    return (*DETECTION_CLASSES, "inconsistent")[_assign(t_count, f_count, rates)]
 
 
 def confusion_matrix(rates: DetectionRates, trials: int, seed: int) -> np.ndarray:
@@ -356,10 +362,5 @@ def confusion_matrix(rates: DetectionRates, trials: int, seed: int) -> np.ndarra
         t_mean, f_mean = rates.means_for(cls)
         t = gen.poisson(t_mean, size=trials)
         f = gen.poisson(f_mean, size=trials)
-        t_high = t > rates.transmission_threshold
-        f_high = f > rates.fluorescence_threshold
-        assigned = np.where(
-            t_high & f_high, 0, np.where(t_high, 3, np.where(f_high, 1, 2))
-        )
-        matrix[i] = np.bincount(assigned, minlength=4) / trials
+        matrix[i] = np.bincount(_assign(t, f, rates), minlength=4) / trials
     return matrix

@@ -27,7 +27,6 @@ from .analysis import (
     fit_parity,
     gaussian_lifetime_fit,
     husimi_grid,
-    parity_of,
 )
 from .cavity import ReflectionModel
 from .config import (
@@ -35,6 +34,8 @@ from .config import (
     RunConfig,
     config_hash,
     load_config,
+    load_rates,
+    with_overrides,
 )
 from .protocols import (
     NeverHeraldsError,
@@ -57,17 +58,6 @@ _TARGETS = {
 }
 
 _HUSIMI_STATES = ("psi_plus", "psi_minus", "phi_plus", "phi_minus", "down_down")
-
-_RATE_KEYS = {
-    "transmission.down_down": ("transmission_means", 0),
-    "transmission.antiparallel": ("transmission_means", 1),
-    "transmission.up_up": ("transmission_means", 2),
-    "fluorescence.down_down": ("fluorescence_means", 0),
-    "fluorescence.antiparallel": ("fluorescence_means", 1),
-    "fluorescence.up_up": ("fluorescence_means", 2),
-    "threshold.transmission": ("transmission_threshold", None),
-    "threshold.fluorescence": ("fluorescence_threshold", None),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,19 +130,8 @@ def _add_protocol_args(p: argparse.ArgumentParser) -> None:
 
 def _resolve_config(args) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
-    top = {}
-    if args.seed is not None:
-        top["seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
-        top["trials"] = args.trials
-    if args.out is not None:
-        top["output_path"] = args.out
-    if top:
-        try:
-            config = replace(config, **top)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    return config
+    top = {"seed": args.seed, "trials": args.trials, "output_path": args.out}
+    return with_overrides(config, **{k: v for k, v in top.items() if v is not None})
 
 
 def _run_pieces(config: RunConfig, args):
@@ -301,6 +280,8 @@ def cmd_sweep(args, config: RunConfig) -> int:
         raise ValueError("sweep needs at least 2 steps")
     if not args.stop > args.start:
         raise ValueError("sweep range must be increasing")
+    if args.variable == "alpha" and args.scheme == "double":
+        raise ValueError("double carving has no alpha; sweep alpha with --scheme single")
     model, pulse, prep, _ = _run_pieces(config, args)
     spec = _protocol_spec(args, prep)
     xs = np.linspace(args.start, args.stop, args.steps)
@@ -337,16 +318,14 @@ def cmd_parity(args, config: RunConfig) -> int:
         raise ValueError("parity scan needs at least 3 phases")
     model, pulse, prep, _ = _run_pieces(config, args)
     state = run_protocol(_protocol_spec(args, prep), pulse, model).state
-    phases = np.linspace(0.0, 2.0 * np.pi, args.n_phases, endpoint=False)
-    values = np.array([parity_of(state, p) for p in phases])
-    scan = ParityScan(phases, values)
+    scan = ParityScan.of_state(state, args.n_phases)
     fit = fit_parity(scan)
     out = config.output_path
     _write_csv(
         config,
         "parity",
         ["phi", "parity"],
-        zip(phases, values),
+        zip(scan.phases, scan.parities),
         path=out,
     )
     _emit_json(
@@ -431,47 +410,8 @@ def cmd_lifetime(args, config: RunConfig) -> int:
     return 0
 
 
-def _load_rates(path) -> DetectionRates:
-    fields = {
-        "transmission_means": list(DetectionRates().transmission_means),
-        "fluorescence_means": list(DetectionRates().fluorescence_means),
-        "transmission_threshold": DetectionRates().transmission_threshold,
-        "fluorescence_threshold": DetectionRates().fluorescence_threshold,
-    }
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read rates file {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, eq, rhs = line.partition("=")
-        key = key.strip()
-        if not eq or key not in _RATE_KEYS:
-            raise ConfigError(f"line {lineno}: unknown rates key {key!r}")
-        attr, idx = _RATE_KEYS[key]
-        try:
-            if idx is None:
-                fields[attr] = int(rhs.strip())
-            else:
-                fields[attr][idx] = float(rhs.strip())
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
-    try:
-        return DetectionRates(
-            transmission_means=tuple(fields["transmission_means"]),
-            fluorescence_means=tuple(fields["fluorescence_means"]),
-            transmission_threshold=fields["transmission_threshold"],
-            fluorescence_threshold=fields["fluorescence_threshold"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def cmd_detect(args, config: RunConfig) -> int:
-    rates = _load_rates(args.rates_file) if args.rates_file else DetectionRates()
+    rates = load_rates(args.rates_file) if args.rates_file else DetectionRates()
     matrix = confusion_matrix(rates, config.trials, config.seed)
     stderr = np.sqrt(matrix * (1.0 - matrix) / config.trials)
     _emit_json(

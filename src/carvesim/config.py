@@ -6,17 +6,21 @@ Config files are plain text with one dotted key per line, e.g.::
     pulse.nbar = 1.2
     prep.kind = antiparallel
 
-Blank lines and #-comments are ignored; unknown keys are errors, and every
-value is validated by the component it configures. The canonical text form
-of a config (config_text) is hashed into CSV/JSON headers so outputs are
-traceable to their inputs.
+Blank lines and #-comments are ignored; unknown and duplicate keys are
+errors, float values must be finite, and every value is validated by the
+component it configures. Detection rates files use the same syntax with
+their own key table (_RATE_KEYS). The canonical text form of a config
+(config_text) is hashed into CSV/JSON headers so outputs are traceable to
+their inputs.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 
+from .analysis import DetectionRates
 from .cavity import CavityParams
 from .protocols import NoiseModel, PreparationSpec, PulseConfig
 
@@ -64,9 +68,25 @@ _KEYS = {
     "output_path": (None, "output_path", str),
 }
 
+# rates-file key -> (DetectionRates field, index into its class triple or None, type)
+_RATE_KEYS = {
+    "transmission.down_down": ("transmission_means", 0, float),
+    "transmission.antiparallel": ("transmission_means", 1, float),
+    "transmission.up_up": ("transmission_means", 2, float),
+    "fluorescence.down_down": ("fluorescence_means", 0, float),
+    "fluorescence.antiparallel": ("fluorescence_means", 1, float),
+    "fluorescence.up_up": ("fluorescence_means", 2, float),
+    "threshold.transmission": ("transmission_threshold", None, int),
+    "threshold.fluorescence": ("fluorescence_threshold", None, int),
+}
 
-def parse_config_text(text: str) -> dict[str, object]:
-    """Parse flat-key config text into typed values, or raise ConfigError."""
+
+def parse_config_text(text: str, keys=_KEYS) -> dict[str, object]:
+    """Parse flat-key text into typed values, or raise ConfigError.
+
+    keys maps each allowed key to a tuple whose last item is the value type:
+    the run-config table by default, _RATE_KEYS for a rates file.
+    """
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -77,17 +97,19 @@ def parse_config_text(text: str) -> dict[str, object]:
         key, _, rhs = line.partition("=")
         key = key.strip()
         rhs = rhs.strip()
-        if key not in _KEYS:
+        if key not in keys:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        _, _, kind = _KEYS[key]
         try:
-            values[key] = kind(rhs)
+            value = keys[key][-1](rhs)
         except ValueError as exc:
             raise ConfigError(
                 f"line {lineno}: bad value {rhs!r} for {key}: {exc}"
             ) from exc
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"line {lineno}: {key} must be finite, got {rhs!r}")
+        values[key] = value
     return values
 
 
@@ -111,13 +133,37 @@ def config_from_values(values: dict[str, object]) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def load_config(path) -> RunConfig:
+def _read_text(path, what: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return config_from_values(parse_config_text(text))
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def load_config(path) -> RunConfig:
+    return config_from_values(parse_config_text(_read_text(path, "config")))
+
+
+def load_rates(path) -> DetectionRates:
+    """DetectionRates from a rates file: listed keys replace the defaults."""
+    base = DetectionRates()
+    means = {
+        "transmission_means": list(base.transmission_means),
+        "fluorescence_means": list(base.fluorescence_means),
+    }
+    thresholds = {}
+    text = _read_text(path, "rates file")
+    for key, value in parse_config_text(text, _RATE_KEYS).items():
+        attr, idx, _ = _RATE_KEYS[key]
+        if idx is None:
+            thresholds[attr] = value
+        else:
+            means[attr][idx] = value
+    try:
+        return DetectionRates(**{a: tuple(m) for a, m in means.items()}, **thresholds)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _format_value(value) -> str:
@@ -132,23 +178,13 @@ def config_text(config: RunConfig) -> str:
     output_path is routing, not an input, and is deliberately excluded so
     that identical runs hash identically wherever their files land.
     """
-    values = {
-        "cavity.g_2pi_mhz": config.cavity.g_2pi_mhz,
-        "cavity.kappa_2pi_mhz": config.cavity.kappa_2pi_mhz,
-        "cavity.kappa_out_2pi_mhz": config.cavity.kappa_out_2pi_mhz,
-        "cavity.gamma_2pi_mhz": config.cavity.gamma_2pi_mhz,
-        "pulse.nbar": config.pulse.nbar,
-        "pulse.dark_prob": config.pulse.dark_prob,
-        "pulse.det_eff": config.pulse.det_eff,
-        "pulse.mode_match": config.pulse.mode_match,
-        "prep.kind": config.prep.kind,
-        "prep.fidelity": config.prep.prep_fidelity,
-        "noise.sigma_common_2pi_khz": config.noise.sigma_common_2pi_khz,
-        "noise.sigma_diff_2pi_khz": config.noise.sigma_diff_2pi_khz,
-        "seed": config.seed,
-        "trials": config.trials,
-    }
-    lines = [f"{key} = {_format_value(values[key])}" for key in sorted(values)]
+    lines = []
+    for key in sorted(_KEYS):
+        section, attr, _ = _KEYS[key]
+        if attr == "output_path":
+            continue
+        owner = config if section is None else getattr(config, section)
+        lines.append(f"{key} = {_format_value(getattr(owner, attr))}")
     return "\n".join(lines) + "\n"
 
 

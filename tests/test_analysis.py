@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import carvesim
 
 from carvesim import (
     BellKind,
@@ -246,6 +253,32 @@ def test_confusion_matrix_shape_and_normalization():
     np.testing.assert_allclose(cm.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(cm >= 0)
     np.testing.assert_array_equal(cm, confusion_matrix(DetectionRates(), 20000, 11))
+
+
+def test_confusion_matrix_tallies_classify():
+    # replay the matrix's Poisson draws and classify each pair one by one
+    rates = DetectionRates(transmission_threshold=2, fluorescence_threshold=1)
+    trials, seed = 500, 3
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    expect = np.zeros((3, 4))
+    assigned = ("down_down", "antiparallel", "up_up", "inconsistent")
+    for i, cls in enumerate(("down_down", "antiparallel", "up_up")):
+        t_mean, f_mean = rates.means_for(cls)
+        ts, fs = gen.poisson(t_mean, size=trials), gen.poisson(f_mean, size=trials)
+        for t, f in zip(ts, fs):
+            expect[i, assigned.index(classify(int(t), int(f), rates))] += 1.0 / trials
+    np.testing.assert_allclose(confusion_matrix(rates, trials, seed), expect, atol=1e-12)
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.optimize dominates import time and only the lifetime fit needs it
+    src = str(Path(carvesim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, carvesim, carvesim.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_rates_validation():

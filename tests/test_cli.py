@@ -74,6 +74,9 @@ def test_sweep_csv(tmp_path):
 
 def test_sweep_rejects_bad_range():
     assert main(["sweep", "--variable", "nbar", "--start", "0.5", "--stop", "0.1", "--steps", "3"]) == 2
+    # double carving ignores alpha, so an alpha sweep of it would repeat one row
+    assert main(["sweep", "--scheme", "double", "--variable", "alpha", "--start", "0.5",
+                 "--stop", "2.5", "--steps", "3", "--trials", "100"]) == 2
 
 
 def test_parity_outputs(tmp_path, capsys):
@@ -123,6 +126,41 @@ def test_detect_matrix(capsys):
     assert all(matrix[i, i] > 0.9 for i in range(3))
 
 
+def test_detect_rates_file_changes_matrix(tmp_path, capsys):
+    base = run_json(capsys, ["detect", "--trials", "5000", "--seed", "5"])
+    rates = tmp_path / "rates.cfg"
+    rates.write_text(
+        "# dimmer transmission, stricter threshold\n"
+        "transmission.down_down = 2.0\n"
+        "threshold.transmission = 5\n"
+    )
+    report = run_json(capsys, ["detect", "--rates-file", str(rates), "--trials", "5000", "--seed", "5"])
+    matrix = np.array(report["matrix"])
+    np.testing.assert_allclose(matrix.sum(axis=1), 1.0, atol=1e-12)
+    # down_down now rarely clears the transmission threshold
+    assert matrix[0, 0] < 0.1 < base["matrix"][0][0]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "transmission.down_down = 8.0\ntransmission.sideways = 1.0\n",
+        "transmission.down_down = 8.0\ntransmission.up_up 0.4\n",
+        "transmission.down_down = 8.0\ntransmission.down_down = 7.0\n",
+        "transmission.down_down = 8.0\nfluorescence.up_up = nan\n",
+        "transmission.down_down = 8.0\nfluorescence.up_up = inf\n",
+    ],
+    ids=["unknown_key", "missing_equals", "duplicate_key", "nan_mean", "inf_mean"],
+)
+def test_bad_rates_file_is_exit_1(tmp_path, capsys, text):
+    rates = tmp_path / "rates.cfg"
+    rates.write_text(text)
+    assert main(["detect", "--rates-file", str(rates), "--trials", "100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: line 2:")
+
+
 def test_config_file_and_overrides(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("pulse.nbar = 0.5\nseed = 4\ntrials = 300\n")
@@ -139,6 +177,10 @@ def test_bad_config_is_exit_1(tmp_path):
     assert main(["protocol", "--config", str(cfg)]) == 1
     assert main(["protocol", "--config", str(tmp_path / "missing.cfg")]) == 1
     assert main(["protocol", "--trials", "0"]) == 1
+    for line in ("pulse.nbar = inf\n", "noise.sigma_common_2pi_khz = nan\n"):
+        cfg.write_text(line)
+        assert main(["protocol", "--config", str(cfg)]) == 1
+        assert main(["lifetime", "--config", str(cfg)]) == 1
 
 
 def test_physics_errors_are_exit_2():

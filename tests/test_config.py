@@ -61,8 +61,15 @@ def test_duplicate_key_reports_line():
 
 
 def test_bad_value_is_config_error():
-    with pytest.raises(ConfigError, match="line 1"):
-        parse_config_text("pulse.nbar = fast\n")
+    for text in (
+        "pulse.nbar = fast\n",
+        "pulse.nbar = inf\n",
+        "pulse.nbar = 1e400\n",
+        "noise.sigma_common_2pi_khz = nan\n",
+        "cavity.g_2pi_mhz = -inf\n",
+    ):
+        with pytest.raises(ConfigError, match="line 1"):
+            parse_config_text(text)
     # range invariants surface when the components are built
     with pytest.raises(ConfigError):
         build("pulse.mode_match = 0\n")
@@ -95,6 +102,8 @@ def test_hash_is_stable_and_sensitive():
     cfg = build(FULL)
     h = config_hash(cfg)
     assert len(h) == 16
+    # the dump is derived from the key table; pin the default digest so it cannot drift
+    assert config_hash(RunConfig()) == "d544dc06a5643a8a"
     assert h == config_hash(build(FULL))
     assert config_hash(with_overrides(cfg, seed=100)) != h
     # where the output lands is routing, not an input
