@@ -1,10 +1,10 @@
 """Command-line front end: config ingestion, presets, CSV/JSON emission.
 
 Exit codes: 0 success, 1 config error, 2 runtime error (a protocol that never
-heralds, a failed fit, invalid run parameters). Every CSV starts with
-#-prefixed header lines naming the command, the config hash and the columns;
-JSON reports use sorted keys. Identical config and seed give byte-identical
-outputs.
+heralds, a failed fit, invalid run parameters, a numeric overflow). Every CSV
+starts with #-prefixed header lines naming the command, the config hash and
+the columns; JSON reports use sorted keys. Identical config and seed give
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -448,6 +448,7 @@ def main(argv=None) -> int:
         UnderdeterminedScanError,
         NullBranchError,
         ValueError,
+        ArithmeticError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

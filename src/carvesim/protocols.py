@@ -12,8 +12,7 @@ monte_carlo_run samples the same statistics trajectory by trajectory.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -394,19 +393,6 @@ class ProtocolResult:
         return self.outcome.state
 
 
-def _rotated_outcome(step: HeraldOutcome, spec: RotationSpec | None) -> HeraldOutcome:
-    if spec is None:
-        return step
-    return HeraldOutcome(
-        state=global_rotation(step.state, spec),
-        herald_prob=step.herald_prob,
-        d_fraction=step.d_fraction,
-        branch_log=step.branch_log,
-        any_prob=step.any_prob,
-        no_herald_state=step.no_herald_state,
-    )
-
-
 def double_carving(
     prep: PreparationSpec | None = None,
     pulse: PulseConfig | None = None,
@@ -419,19 +405,7 @@ def double_carving(
     rotation can convert into Phi- (R_y(pi/2)) or Phi+ (R_x(pi/2)); from the
     antiparallel mixture it heralds the singlet Psi-.
     """
-    prep = prep or PreparationSpec("down_down")
-    rho = prepare(prep)
-    rho = global_rotation(rho, RotationSpec("y", np.pi / 2))
-    step1 = carve_step(rho, pulse, cavity)
-    rho = global_rotation(step1.state, RotationSpec("y", np.pi))
-    step2 = carve_step(rho, pulse, cavity)
-    outcome = _rotated_outcome(step2, final_rotation)
-    return ProtocolResult(
-        outcome=outcome,
-        success_prob=step1.d_fraction * step2.d_fraction,
-        efficiency=step1.herald_prob * step2.herald_prob,
-        steps=(step1, step2),
-    )
+    return _execute(ProtocolSpec("double", prep=prep), pulse, cavity, final_rotation)
 
 
 def single_carving_eta_ideal(alpha: float) -> float:
@@ -456,20 +430,7 @@ def single_carving(
     close to Psi+ (exactly Psi+ as alpha -> 0) at herald efficiency
     eta_ideal; the efficiency/fidelity trade-off is the point of this scheme.
     """
-    if not 0 <= alpha <= np.pi:
-        raise ValueError("alpha must be in [0, pi]")
-    rho = prepare(PreparationSpec("pure_dd"))
-    rho = global_rotation(rho, RotationSpec("y", alpha))
-    step = carve_step(rho, pulse, cavity)
-    outcome = _rotated_outcome(step, final_rotation)
-    return ProtocolResult(
-        outcome=outcome,
-        success_prob=step.d_fraction,
-        efficiency=step.herald_prob,
-        steps=(step,),
-        eta_ideal=float(single_carving_eta_ideal(alpha)),
-        f_ideal=float(single_carving_f_ideal(alpha)),
-    )
+    return _execute(ProtocolSpec("single", alpha=alpha), pulse, cavity, final_rotation)
 
 
 @dataclass(frozen=True)
@@ -510,20 +471,12 @@ class ProtocolSpec:
         return 2 if self.scheme == "double" else 1
 
 
-def run_protocol(
-    spec: ProtocolSpec,
-    pulse: PulseConfig | None = None,
-    cavity: CavityParams | ReflectionModel | None = None,
-) -> ProtocolResult:
-    """Exact-channel evaluation of a protocol descriptor."""
-    final = final_rotation_for(spec.target)
-    if spec.scheme == "double":
-        return double_carving(spec.prep, pulse, cavity, final)
-    return single_carving(spec.alpha, pulse, cavity, final)
+def _build_ops(spec: ProtocolSpec, final: RotationSpec | None) -> tuple:
+    """The one description of a protocol: its preparation and its op list.
 
-
-def _build_ops(spec: ProtocolSpec) -> list:
-    """Sequence of ("rotate", U2) and ("pulse",) ops for a protocol."""
+    Ops are ("rotate", RotationSpec) and ("pulse",); the exact channel
+    (_execute) and the Monte Carlo both walk this list.
+    """
     if spec.scheme == "double":
         ops = [
             ("rotate", RotationSpec("y", np.pi / 2)),
@@ -535,10 +488,49 @@ def _build_ops(spec: ProtocolSpec) -> list:
     else:
         ops = [("rotate", RotationSpec("y", spec.alpha)), ("pulse",)]
         prep = PreparationSpec("pure_dd")
-    final = final_rotation_for(spec.target)
     if final is not None:
         ops.append(("rotate", final))
     return prep, ops
+
+
+def _execute(
+    spec: ProtocolSpec,
+    pulse: PulseConfig | None,
+    cavity: CavityParams | ReflectionModel | None,
+    final: RotationSpec | None,
+) -> ProtocolResult:
+    """Exact channel along the op list; the outcome is the last step, rotated."""
+    prep, ops = _build_ops(spec, final)
+    state = prepare(prep)
+    steps = []
+    for op in ops:
+        if op[0] == "rotate":
+            state = global_rotation(state, op[1])
+        else:
+            steps.append(carve_step(state, pulse, cavity))
+            state = steps[-1].state
+    ideal = {}
+    if spec.scheme == "single":
+        ideal = {
+            "eta_ideal": float(single_carving_eta_ideal(spec.alpha)),
+            "f_ideal": float(single_carving_f_ideal(spec.alpha)),
+        }
+    return ProtocolResult(
+        outcome=replace(steps[-1], state=state),
+        success_prob=math.prod(s.d_fraction for s in steps),
+        efficiency=math.prod(s.herald_prob for s in steps),
+        steps=tuple(steps),
+        **ideal,
+    )
+
+
+def run_protocol(
+    spec: ProtocolSpec,
+    pulse: PulseConfig | None = None,
+    cavity: CavityParams | ReflectionModel | None = None,
+) -> ProtocolResult:
+    """Exact-channel evaluation of a protocol descriptor."""
+    return _execute(spec, pulse, cavity, final_rotation_for(spec.target))
 
 
 @dataclass(frozen=True)
@@ -564,49 +556,6 @@ class MonteCarloResult:
     records: dict[str, np.ndarray]
 
 
-def _mc_chunk(draws, diag0, ops, tables, pmf_d, t_stack, target_vec):
-    """Simulate one contiguous block of trials; pure function of its inputs."""
-    n = draws.shape[0]
-    n_pulses = sum(1 for op in ops if op[0] == "pulse")
-    cdf0 = np.cumsum(diag0)
-    b0 = np.sum(cdf0[None, :] < draws[:, 0][:, None], axis=1).clip(0, 3)
-    states = np.zeros((n, 4, 4), dtype=complex)
-    states[np.arange(n), b0, b0] = 1.0
-
-    heralds = np.zeros((n, n_pulses), dtype=bool)
-    any_event = np.zeros((n, n_pulses), dtype=bool)
-    n_d = np.zeros((n, n_pulses), dtype=np.int64)
-    col = 1
-    pulse_idx = 0
-    n_max = pmf_d.shape[1] - 1
-    for op in ops:
-        if op[0] == "rotate":
-            u = single_qubit_unitary(op[1])
-            u2 = np.kron(u, u)
-            states = np.einsum("ab,nbc,dc->nad", u2, states, u2.conj())
-            continue
-        diag = np.einsum("nii->ni", states).real.clip(min=0.0)
-        mix = diag @ pmf_d  # (n, n_max + 1)
-        cdf = np.cumsum(mix, axis=1)
-        nd = np.sum(cdf < draws[:, col][:, None], axis=1).clip(0, n_max)
-        dark = draws[:, col + 1] < tables.dark
-        herald = (nd >= 1) | dark
-        w = diag * pmf_d[:, nd].T  # branch weights given the d count
-        wsum = w.sum(axis=1)
-        p_no_a = (w @ tables.p_no_a) / np.where(wsum > 0, wsum, 1.0)
-        a_click = draws[:, col + 2] < 1.0 - p_no_a
-        heralds[:, pulse_idx] = herald
-        any_event[:, pulse_idx] = herald | a_click
-        n_d[:, pulse_idx] = nd
-        states = states * t_stack[nd]
-        tr = np.einsum("nii->n", states).real
-        states = states / np.maximum(tr, 1e-300)[:, None, None]
-        col += 3
-        pulse_idx += 1
-    fid = np.einsum("a,nab,b->n", target_vec.conj(), states, target_vec).real
-    return heralds, any_event, n_d, fid
-
-
 def monte_carlo_run(
     protocol: ProtocolSpec,
     trials: int,
@@ -617,44 +566,69 @@ def monte_carlo_run(
 ) -> MonteCarloResult:
     """Trajectory simulation of a protocol, deterministic in (seed, trial).
 
-    Every trial consumes a fixed row of counter-based uniform draws, so the
-    result is byte-identical for any worker count; workers only split the
-    rows into blocks evaluated concurrently.
+    Every trial consumes a fixed row of counter-based uniform draws. A
+    trial's state depends only on its record so far: the initial basis
+    state, then n_d for each pulse. node indexes each trial into a stack of
+    those prefix states, so each reached prefix is rotated and carved once
+    for all trials that share it, and every draw is compared with values
+    looked up through node. workers is accepted and ignored; it no longer
+    splits the work, and the records never depended on it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     pulse = pulse or PulseConfig()
     model = _as_model(cavity)
     tables = _PulseTables(model, pulse)
-    prep, ops = _build_ops(protocol)
-    n_pulses = sum(1 for op in ops if op[0] == "pulse")
+    prep, ops = _build_ops(protocol, final_rotation_for(protocol.target))
+    n_pulses = protocol.n_pulses
 
     diag0 = prepare(prep).rho.diagonal().real
     max_rate = float(np.max(tables.eta * tables.delta**2))
     n_max = max(8, int(math.ceil(max_rate + 12.0 * math.sqrt(max_rate + 1.0))))
-    counts = np.arange(n_max + 1)
-    t_stack = np.stack([tables.count_mult(n) for n in counts])
+    width = n_max + 1
+    t_stack = np.stack([tables.count_mult(n) for n in np.arange(width)])
     pmf_d = t_stack[:, np.arange(4), np.arange(4)].T.real.copy()  # (4, n_max + 1)
     target_vec = bell_vector(protocol.target)
 
     gen = np.random.Generator(np.random.Philox(key=seed))
     draws = gen.random((trials, 1 + 3 * n_pulses))
 
-    n_workers = workers or 1
-    bounds = np.linspace(0, trials, n_workers + 1).astype(int)
-    blocks = [(draws[lo:hi],) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    def run(block):
-        return _mc_chunk(block[0], diag0, ops, tables, pmf_d, t_stack, target_vec)
-
-    if n_workers == 1 or len(blocks) == 1:
-        parts = [run(b) for b in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(run, blocks))
-    heralds = np.concatenate([p[0] for p in parts])
-    any_event = np.concatenate([p[1] for p in parts])
-    n_d = np.concatenate([p[2] for p in parts])
-    fid = np.concatenate([p[3] for p in parts])
+    node = np.sum(np.cumsum(diag0)[None, :] < draws[:, 0][:, None], axis=1).clip(0, 3)
+    states = np.zeros((4, 4, 4), dtype=complex)
+    states[np.arange(4), np.arange(4), np.arange(4)] = 1.0
+    heralds = np.zeros((trials, n_pulses), dtype=bool)
+    any_event = np.zeros((trials, n_pulses), dtype=bool)
+    n_d = np.zeros((trials, n_pulses), dtype=np.int64)
+    k = 0  # pulse index
+    for op in ops:
+        if op[0] == "rotate":
+            u = single_qubit_unitary(op[1])
+            u2 = np.kron(u, u)
+            states = np.einsum("ab,nbc,dc->nad", u2, states, u2.conj())
+            continue
+        u_count, u_dark, u_a = draws[:, 1 + 3 * k : 4 + 3 * k].T
+        diag = np.einsum("nii->ni", states).real.clip(min=0.0)
+        cdf = np.cumsum(diag @ pmf_d, axis=1)  # (nodes, n_max + 1)
+        nd = np.sum(cdf[node] < u_count[:, None], axis=1).clip(0, n_max)
+        herald = (nd >= 1) | (u_dark < tables.dark)
+        # number the reached (node, nd) pairs with a presence mask, without
+        # sorting; they become the next stack of prefix states
+        pair = node * width + nd
+        present = np.zeros(len(states) * width, dtype=bool)
+        present[pair] = True
+        node = (np.cumsum(present) - 1)[pair]
+        parent, count = np.divmod(np.flatnonzero(present), width)
+        w = diag[parent] * pmf_d[:, count].T  # branch weights given the d count
+        wsum = w.sum(axis=1)
+        p_no_a = (w @ tables.p_no_a) / np.where(wsum > 0, wsum, 1.0)
+        heralds[:, k] = herald
+        any_event[:, k] = herald | (u_a < 1.0 - p_no_a[node])
+        n_d[:, k] = nd
+        states = states[parent] * t_stack[count]
+        tr = np.einsum("nii->n", states).real
+        states = states / np.maximum(tr, 1e-300)[:, None, None]
+        k += 1
+    leaf_fid = np.einsum("a,nab,b->n", target_vec.conj(), states, target_vec).real
 
     alive = np.ones(trials, dtype=bool)
     step_reached, step_any, step_her = [], [], []
@@ -667,7 +641,7 @@ def monte_carlo_run(
     success = 1.0
     for a, h in zip(step_any, step_her):
         success *= h / a if a > 0 else np.nan
-    fid = np.where(alive, fid, np.nan)
+    fid = np.where(alive, leaf_fid[node], np.nan)
     kept = fid[alive]
     mean_f = float(kept.mean()) if heralded else float("nan")
     stderr = float(kept.std(ddof=1) / math.sqrt(heralded)) if heralded > 1 else float("nan")

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import carvesim
 from carvesim.cli import main
 
 
@@ -77,6 +82,20 @@ def test_sweep_rejects_bad_range():
     # double carving ignores alpha, so an alpha sweep of it would repeat one row
     assert main(["sweep", "--scheme", "double", "--variable", "alpha", "--start", "0.5",
                  "--stop", "2.5", "--steps", "3", "--trials", "100"]) == 2
+
+
+def test_overflow_is_exit_2_without_traceback():
+    # the Poisson weights of nbar = 800 overflow a float; that is a runtime
+    # error of the run, not a crash (numpy also warns of the overflow)
+    src = str(Path(carvesim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["sweep", "--variable", "nbar", "--start", "0.1", "--stop", "800", "--steps", "2"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "carvesim", *argv], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert any(line.startswith("error: ") for line in proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr
 
 
 def test_parity_outputs(tmp_path, capsys):

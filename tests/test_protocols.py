@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -280,6 +282,65 @@ def test_monte_carlo_is_deterministic_and_worker_invariant():
         np.testing.assert_array_equal(a.records[key], b.records[key])
         np.testing.assert_array_equal(a.records[key], c.records[key])
     assert a.mean_fidelity == b.mean_fidelity == c.mean_fidelity
+
+
+# sha256 of each record array and the reprs of the summaries, computed with
+# the per-trial engine that carried a density matrix for every trial; 20 000
+# trials each
+PINNED_RECORDS = [
+    (
+        ProtocolSpec("double", BellKind.PSI_PLUS), 77, PulseConfig(),
+        {
+            "herald": "20e3f11d328b9100b5f8fd341dcd7c7aed3f92ba317d0dc619a504ebf5ae60e4",
+            "any_event": "e655610e376c60a5547f7d71faba05a081c06330bc8e51ed50c706077825a3c5",
+            "n_d": "791a62626702610cc79bd89c400121bacc681dbc6a21077c27489a891ff642f3",
+            "fidelity": "eb73d508dbc5c989be5202f003dd36e4c7e78351742b25aa03d99dc6ea67067a",
+        },
+        "0.7845020984751865", "0.02029775461908819",
+    ),
+    (
+        ProtocolSpec("double", BellKind.PSI_MINUS), 9100, PulseConfig(),
+        {
+            "herald": "f3fe8fbe144ad8978cacb5c4d474f53c0a55f12d00609984183296ffc7243db6",
+            "any_event": "899c3a8266e96050fb1554ccb6b863155fb5baae3c9448a4c33877488447e8b8",
+            "n_d": "fb9b8230c9272ebd83144e20a9da650bdbb5d0dec391fcaba53cc90b56a89a92",
+            "fidelity": "67e7150c9e55bf8c359fc18d80a75acba27dbfa82999971c064acc9afce2555d",
+        },
+        "0.701904957233355", "0.029286417745590633",
+    ),
+    (
+        ProtocolSpec("single", BellKind.PHI_MINUS, alpha=np.pi / 2), 9, PulseConfig(),
+        {
+            "herald": "a359fadd605f787f5a516067e13c98eee462e0449f455ccf2395f30f2138c0fd",
+            "any_event": "f75ba353f2a8f3065cfd23724550bae356c53c3d60e8f3fde67cbd279a5074c3",
+            "n_d": "6d67cb227bed689c0fbb10ee1744d15e28e8d80ea68f1b67233ea4e16e9cea13",
+            "fidelity": "22f9d0d23bae00ac765b65cbbd90c9302c415eab727d461e61e2bb6ad0e72c66",
+        },
+        "0.5856911351219491", "0.001554768223369801",
+    ),
+    (
+        ProtocolSpec("double", BellKind.PSI_PLUS), 2024, PulseConfig(nbar=30.0),
+        {
+            "herald": "2e5039db5edfd80127e3935433db80520a73bf328233de509bf96e2c0c9437f5",
+            "any_event": "aee68be1fd21e43192d0c439736f0a7f6119b3fb8cae3dac522fcb3633b0621e",
+            "n_d": "01caa8ff4fe50d987408318e1d29363b684c6ba31d10621e662cc9519e71f64d",
+            "fidelity": "1dee6fcf30d3f6e4983b785b521b99e7286cfa3bcc69d47a539c415f4e2f9a59",
+        },
+        "0.49524522896636997", "0.0004829822415825593",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, seed, pulse, digests, mean, stderr",
+    PINNED_RECORDS,
+    ids=["double-psi_plus-77", "double-psi_minus-9100", "single-phi_minus-9", "double-nbar30-2024"],
+)
+def test_monte_carlo_records_are_pinned(spec, seed, pulse, digests, mean, stderr):
+    mc = monte_carlo_run(spec, 20000, seed, pulse)
+    got = {key: hashlib.sha256(mc.records[key].tobytes()).hexdigest() for key in digests}
+    assert got == digests
+    assert (repr(mc.mean_fidelity), repr(mc.fidelity_stderr)) == (mean, stderr)
 
 
 def test_monte_carlo_different_seeds_differ():

@@ -1,0 +1,137 @@
+"""Record benchmark results as BENCH_<label>.json, and compare two such files.
+
+Usage, from the root of a checkout:
+
+    python3 tools/benchrec.py record LABEL
+    python3 tools/benchrec.py compare A B
+
+record runs `python3 perfbench/run.py --workload W --seed S --seconds 25
+--trace 0` for every workload named in BENCHMARK.json and seeds 101-103, one
+run at a time, and writes BENCH_<LABEL>.json at the root: per workload the
+median [Q1, Q3] of each end-to-end metric, the seeds, the failed and
+attempted op counts, whether every check passed, the src digest and the host
+line (Python, numpy, scipy, nproc, BLAS threads). A run takes about 35 s, so
+a record takes about 7 minutes.
+
+compare reads BENCH_<A>.json and BENCH_<B>.json (or the paths given) and
+labels each workload/metric pair "changed" when the median moved by more
+than the metric's bound in BENCHMARK.json, relative to A, and "within noise"
+otherwise. The bounds are the run-to-run spread and set-to-set shift of
+identical code (perfbench/README.md). Both commands only read BENCHMARK.json
+and perfbench/.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (101, 102, 103)
+SECONDS = 25
+HOST_KEYS = ("python", "numpy", "scipy", "nproc", "blas_threads")
+
+
+def load_benchmark() -> dict:
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def run_once(workload: str, seed: int) -> tuple[dict, dict]:
+    """(info, result) lines of one benchmark run; raises if it fails."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd[1:])} exited {proc.returncode}: {proc.stderr[-300:]}")
+    lines = proc.stdout.strip().splitlines()
+    return json.loads(lines[-2])["info"], json.loads(lines[-1])
+
+
+def spread(values: list[float]) -> dict:
+    median = statistics.median(values)
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else (median,) * 3
+    return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def record(label: str) -> Path:
+    bench = load_benchmark()
+    names = [m["name"] for m in bench["end_to_end"]]
+    units = {m["name"]: m["unit"] for m in bench["end_to_end"]}
+    report = {"label": label, "seeds": list(SEEDS), "seconds": SECONDS, "workloads": {}}
+    for workload in (w["name"] for w in bench["workloads"]):
+        values = {name: [] for name in names}
+        attempted = failed = 0
+        correct = True
+        for seed in SEEDS:
+            info, result = run_once(workload, seed)
+            print(f"{workload} seed {seed}: ops {result['attempted']}, failed "
+                  f"{result['failed']}, correct {result['correct']}", file=sys.stderr)
+            attempted += result["attempted"]
+            failed += result["failed"]
+            correct = correct and result["correct"]
+            for name in names:
+                values[name].append(result["metrics"][name]["value"])
+            report["src_sha256"] = info["src_sha256"]
+            report["host"] = {key: info[key] for key in HOST_KEYS}
+        report["workloads"][workload] = {
+            "attempted": attempted,
+            "failed": failed,
+            "correct": correct,
+            "metrics": {name: dict(spread(values[name]), unit=units[name]) for name in names},
+        }
+    path = ROOT / f"BENCH_{label}.json"
+    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return path
+
+
+def bench_path(name: str) -> Path:
+    path = Path(name)
+    return path if path.suffix == ".json" else ROOT / f"BENCH_{name}.json"
+
+
+def compare(a_name: str, b_name: str) -> list[str]:
+    bench = load_benchmark()
+    a = json.loads(bench_path(a_name).read_text())
+    b = json.loads(bench_path(b_name).read_text())
+    lines = [f"{a['label']} (src {a['src_sha256']}) -> {b['label']} (src {b['src_sha256']})"]
+    for workload in (w["name"] for w in bench["workloads"]):
+        wa, wb = a["workloads"][workload], b["workloads"][workload]
+        lines.append(f"{workload}: failed {wa['failed']}/{wa['attempted']} -> "
+                     f"{wb['failed']}/{wb['attempted']}, correct {wa['correct']} -> {wb['correct']}")
+        for metric in bench["end_to_end"]:
+            name = metric["name"]
+            ma, mb = wa["metrics"][name], wb["metrics"][name]
+            ratio = mb["median"] / ma["median"] if ma["median"] else float("inf")
+            changed = abs(ratio - 1.0) > metric["bound"]
+            better = (ratio < 1.0) == (metric["better"] == "lower")
+            verdict = ("better" if better else "worse") + ", changed" if changed else "within noise"
+            lines.append(
+                f"  {name:12s} {ma['median']:.4g} [{ma['q1']:.4g}, {ma['q3']:.4g}] -> "
+                f"{mb['median']:.4g} [{mb['q1']:.4g}, {mb['q3']:.4g}] {metric['unit']}"
+                f"  x{ratio:.3g}  {verdict} (bound {metric['bound']})"
+            )
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("record", help="run every workload and write BENCH_<LABEL>.json")
+    p.add_argument("label")
+    p = sub.add_parser("compare", help="label each metric changed or within noise")
+    p.add_argument("a")
+    p.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.command == "record":
+        print(record(args.label))
+    else:
+        print("\n".join(compare(args.a, args.b)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
