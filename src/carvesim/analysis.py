@@ -132,6 +132,7 @@ def bell_fidelity(
     """Bell fidelity from the measured population triple and fitted coherences.
 
     populations is (P_uu, P_dd, P_mixed) as returned by states.populations.
+    The tomographic reference for states.fidelity, which it equals on exact states.
     """
     p_uu, p_dd, p_mixed = populations
     total = p_uu + p_dd + p_mixed
@@ -146,22 +147,23 @@ def bell_fidelity(
     return 0.5 * (p_uu + p_dd) - fit.re_upup_dndn
 
 
-def coherent_spin_vector(theta: float, phi: float) -> np.ndarray:
-    """Product state of both atoms pointing along (theta, phi)."""
-    single = np.array(
-        [np.cos(theta / 2.0), -np.exp(1j * phi) * np.sin(theta / 2.0)], dtype=complex
-    )
-    return np.kron(single, single)
+def coherent_spin_vector(theta, phi) -> np.ndarray:
+    """Product state of both atoms along (theta, phi); broadcasts, basis axis last."""
+    theta = np.asarray(theta, dtype=float)
+    c = np.cos(theta / 2.0)
+    s = -np.exp(1j * np.asarray(phi, dtype=float)) * np.sin(theta / 2.0)
+    cs = c * s
+    return np.stack(np.broadcast_arrays(c**2, cs, cs, s**2), axis=-1)
 
 
 def husimi_q(state: TwoAtomState, theta: float, phi: float) -> float:
-    """Husimi Q value (3 / 4 pi) <theta,phi| rho |theta,phi>."""
+    """Husimi Q value (3 / 4 pi) <theta,phi| rho |theta,phi>; husimi_grid's reference."""
     v = coherent_spin_vector(theta, phi)
     return float(3.0 / (4.0 * np.pi) * np.real(v.conj() @ state.rho @ v))
 
 
 def symmetric_projector() -> np.ndarray:
-    """Projector onto the symmetric subspace (everything but the singlet)."""
+    """Symmetric-subspace projector; Tr(P rho) is the exact HusimiGrid.integral."""
     singlet = bell_vector(BellKind.PSI_MINUS)
     return np.eye(4, dtype=complex) - np.outer(singlet, singlet.conj())
 
@@ -197,13 +199,7 @@ def husimi_grid(state: TwoAtomState, n_theta: int, n_phi: int) -> HusimiGrid:
         raise ValueError("grid resolution must be at least 2 x 2")
     theta = (np.arange(n_theta) + 0.5) * np.pi / n_theta
     phi = np.arange(n_phi) * 2.0 * np.pi / n_phi
-    c = np.cos(theta / 2.0)
-    s = -np.exp(1j * phi[None, :]) * np.sin(theta / 2.0)[:, None]
-    vec = np.empty((n_theta, n_phi, 4), dtype=complex)
-    vec[:, :, 0] = (c**2)[:, None]
-    vec[:, :, 1] = c[:, None] * s
-    vec[:, :, 2] = vec[:, :, 1]
-    vec[:, :, 3] = s**2
+    vec = coherent_spin_vector(theta[:, None], phi[None, :])
     q = 3.0 / (4.0 * np.pi) * np.einsum(
         "tpa,ab,tpb->tp", vec.conj(), state.rho, vec
     ).real
@@ -315,17 +311,6 @@ class DetectionRates:
         return self.transmission_means[idx], self.fluorescence_means[idx]
 
 
-def simulate_detection(
-    true_class: str, rates: DetectionRates, seed: int
-) -> tuple[int, int]:
-    """Sample one (transmission, fluorescence) count pair for a true class."""
-    if true_class not in DETECTION_CLASSES:
-        raise ValueError(f"unknown class {true_class!r}")
-    t_mean, f_mean = rates.means_for(true_class)
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    return int(gen.poisson(t_mean)), int(gen.poisson(f_mean))
-
-
 # assigned-class index (into DETECTION_CLASSES + ("inconsistent",)) for
 # 2 * transmission_high + fluorescence_high
 _DECISION = np.array([2, 1, 3, 0])
@@ -345,7 +330,7 @@ def _assign(t_counts, f_counts, rates: DetectionRates):
 
 
 def classify(t_count: int, f_count: int, rates: DetectionRates) -> str:
-    """Assigned class of one (transmission, fluorescence) count pair."""
+    """Assigned class of one (t, f) count pair; confusion_matrix's reference."""
     return (*DETECTION_CLASSES, "inconsistent")[_assign(t_count, f_count, rates)]
 
 

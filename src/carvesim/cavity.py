@@ -16,11 +16,11 @@ makes it usable as a herald.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .states import BASIS_LABELS, N_UP, TwoAtomState
+from .states import N_UP
 
 DEFAULT_G = 7.8
 DEFAULT_KAPPA = 2.5
@@ -99,57 +99,6 @@ class CavityParams:
         )
         return half_diff**2
 
-    def phase_conditions(self, n_coupled: int = 1) -> tuple[bool, bool]:
-        """(high_cooperativity, asymmetric) booleans of the pi-phase regime.
-
-        high_cooperativity: N g^2 > gamma (2 kappa_out - kappa), equivalent to
-        r(N) > 0. asymmetric: kappa_out > kappa / 2, equivalent to r(0) < 0.
-        Both together give the pi phase difference between coupled and
-        uncoupled register states that produces polarization flips.
-        """
-        if n_coupled < 1:
-            raise ValueError("n_coupled must be >= 1")
-        g2n = n_coupled * self.g_2pi_mhz**2
-        high_cooperativity = g2n > self.gamma_2pi_mhz * (
-            2.0 * self.kappa_out_2pi_mhz - self.kappa_2pi_mhz
-        )
-        asymmetric = self.kappa_out_2pi_mhz > 0.5 * self.kappa_2pi_mhz
-        return high_cooperativity, asymmetric
-
-
-@dataclass(frozen=True)
-class JointAtomPhotonState:
-    """Pure joint state of the register and one reflected photon.
-
-    ``amplitudes[b, p]`` is the amplitude for register basis state b with the
-    photon in polarization p (0 = a, the incident polarization; 1 = d, the
-    flipped one); ``loss_weight`` is the population lost to scattering and
-    absorption during the reflection.
-    """
-
-    amplitudes: np.ndarray
-    loss_weight: float
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (4, 2):
-            raise ValueError(f"expected (4, 2) amplitudes, got {amps.shape}")
-        total = float(np.sum(np.abs(amps) ** 2)) + self.loss_weight
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"joint state not normalized, total weight {total!r}")
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-
-    def polarization_probability(self, pol: str) -> float:
-        return float(np.sum(np.abs(self.amplitudes[:, _POL_INDEX[pol]]) ** 2))
-
-    def collapse(self, pol: str) -> TwoAtomState:
-        """Normalized register state after detecting the photon in a or d."""
-        return TwoAtomState.from_vector(self.amplitudes[:, _POL_INDEX[pol]])
-
-
-_POL_INDEX = {"a": 0, "d": 1}
-
 
 def _branch_table(r_by_n: np.ndarray, s_by_n: np.ndarray):
     a_amp = np.array([0.5 * (r_by_n[0] + r_by_n[n]) for n in N_UP])
@@ -169,46 +118,20 @@ class ReflectionModel:
     which ``scatter`` is the atomic part.
     """
 
-    r_empty: float
-    r_coupled: np.ndarray  # r(N) for N = 0, 1, 2
-    a_amp: np.ndarray = field(repr=False)
-    d_amp: np.ndarray = field(repr=False)
-    scatter: np.ndarray = field(repr=False)
-    loss: np.ndarray = field(repr=False)
+    a_amp: np.ndarray
+    d_amp: np.ndarray
+    scatter: np.ndarray
+    loss: np.ndarray
 
     @classmethod
     def from_params(cls, params: CavityParams | None = None) -> "ReflectionModel":
         params = params or CavityParams()
         r_by_n = np.array([params.reflection_amplitude(n) for n in range(3)])
         s_by_n = np.array([params.scattering_fraction(n) for n in range(3)])
-        return cls(float(r_by_n[0]), r_by_n, *_branch_table(r_by_n, s_by_n))
+        return cls(*_branch_table(r_by_n, s_by_n))
 
     @classmethod
     def ideal(cls) -> "ReflectionModel":
         """Lossless strong-coupling limit: r(0) = -1, r(N > 0) = +1, s = 0."""
         r_by_n = np.array([-1.0, 1.0, 1.0])
-        return cls(-1.0, r_by_n, *_branch_table(r_by_n, np.zeros(3)))
-
-    def reflect(self, vec) -> JointAtomPhotonState:
-        """Reflect one a-polarized photon off a pure register state."""
-        vec = np.asarray(vec, dtype=complex)
-        if vec.shape != (4,):
-            raise ValueError(f"expected a 4-component register vector, got {vec.shape}")
-        norm = np.linalg.norm(vec)
-        if norm < 1e-15:
-            raise ValueError("cannot reflect off a null register state")
-        vec = vec / norm
-        amps = np.stack([vec * self.a_amp, vec * self.d_amp], axis=1)
-        loss_weight = float(np.sum(np.abs(vec) ** 2 * self.loss))
-        return JointAtomPhotonState(amps, loss_weight)
-
-    def branch_label(self, index: int) -> str:
-        return BASIS_LABELS[index]
-
-
-def reflect_photon(params: CavityParams, state: TwoAtomState) -> JointAtomPhotonState:
-    """Joint atom-photon state after reflecting one photon off a pure state."""
-    eigs, vecs = np.linalg.eigh(state.rho)
-    if abs(np.trace(state.rho @ state.rho).real - 1.0) > 1e-9:
-        raise ValueError("reflect_photon needs a pure register state")
-    return ReflectionModel.from_params(params).reflect(vecs[:, -1])
+        return cls(*_branch_table(r_by_n, np.zeros(3)))

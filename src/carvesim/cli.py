@@ -178,7 +178,10 @@ def _write_csv(config, command, columns, rows, extra_header=(), path=None) -> No
     lines.append("# columns: " + ",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
+    _write_text("\n".join(lines) + "\n", path)
+
+
+def _write_text(text: str, path) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -206,24 +209,12 @@ def _jsonable(obj):
 
 
 def _emit_json(report, path=None) -> None:
-    text = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n", path)
 
 
-def _csv_sibling(path: str) -> str:
-    if path.endswith(".json"):
-        return path[: -len(".json")] + ".csv"
-    return path + ".csv"
-
-
-def _json_sibling(path: str) -> str:
-    if path.endswith(".csv"):
-        return path[: -len(".csv")] + ".json"
-    return path + ".json"
+def _sibling(path: str, suffix: str) -> str:
+    other = ".json" if suffix == ".csv" else ".csv"
+    return path.removesuffix(other) + suffix
 
 
 def cmd_protocol(args, config: RunConfig) -> int:
@@ -270,7 +261,7 @@ def cmd_protocol(args, config: RunConfig) -> int:
             "protocol",
             ["step", "herald_prob", "d_fraction", "any_prob"],
             rows,
-            path=_csv_sibling(out),
+            path=_sibling(out, ".csv"),
         )
     return 0
 
@@ -338,7 +329,7 @@ def cmd_parity(args, config: RunConfig) -> int:
             "residual": fit.residual,
             "offset": 2.0 * fit.re_updn_dnup,
         },
-        _json_sibling(out) if out else None,
+        _sibling(out, ".json") if out else None,
     )
     return 0
 
@@ -379,8 +370,6 @@ def cmd_husimi(args, config: RunConfig) -> int:
 
 
 def cmd_lifetime(args, config: RunConfig) -> int:
-    if args.points < 2:
-        raise ValueError("lifetime needs at least 2 time points")
     noise = NoiseModel(0.0, 0.0) if args.ideal else config.noise
     target = _TARGETS[args.target]
     bell = bell_state(target)
@@ -405,7 +394,7 @@ def cmd_lifetime(args, config: RunConfig) -> int:
             "target": args.target,
             "tau_us": tau,
         },
-        _json_sibling(out) if out else None,
+        _sibling(out, ".json") if out else None,
     )
     return 0
 

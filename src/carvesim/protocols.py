@@ -28,7 +28,6 @@ from .states import (
     TwoAtomState,
     bell_vector,
     global_rotation,
-    renormalize,
     single_qubit_unitary,
 )
 
@@ -158,52 +157,6 @@ def wait_evolution(
     return TwoAtomState(state.rho * decay)
 
 
-def scattering_event(state: TwoAtomState, atom: int) -> TwoAtomState:
-    """Project the given atom (1 or 2) onto up and renormalize.
-
-    A spontaneously scattered photon carries which-atom information, so the
-    environment effectively measures that the scattering atom was up.
-    """
-    if atom not in (1, 2):
-        raise ValueError("atom must be 1 or 2")
-    up = ATOM1_UP if atom == 1 else ATOM2_UP
-    mask = np.outer(up, up).astype(float)
-    return renormalize(TwoAtomState(state.rho * mask))
-
-
-def scattering_channel(state: TwoAtomState, expected_scatter: float) -> TwoAtomState:
-    """Mix over a Poisson number of scattering events, each on a random atom.
-
-    The event count is not observed, so the channel is an average of the
-    k-event conditional states weighted by the Poisson distribution; branches
-    that cannot scatter at all are left unchanged. For a Psi+ input this
-    gives fidelity 1/2 + exp(-expected_scatter) / 2 exactly.
-    """
-    if expected_scatter < 0:
-        raise ValueError("expected_scatter must be >= 0")
-    if expected_scatter == 0:
-        return state
-    masks = [np.outer(u, u).astype(float) for u in (ATOM1_UP, ATOM2_UP)]
-    out = np.zeros((4, 4), dtype=complex)
-    current = state.rho
-    k = 0
-    weight = math.exp(-expected_scatter)
-    cumulative = 0.0
-    last_norm = state.rho
-    while True:
-        tr = current.trace().real
-        last_norm = current / tr if tr >= 1e-15 else state.rho
-        out += weight * last_norm
-        cumulative += weight
-        if 1.0 - cumulative < 1e-14 or k > 400:
-            break
-        current = 0.5 * (current * masks[0] + current * masks[1])
-        k += 1
-        weight *= expected_scatter / k
-    out += (1.0 - cumulative) * last_norm
-    return TwoAtomState(out)
-
-
 @dataclass(frozen=True)
 class HeraldOutcome:
     """Result of one carving pulse, conditioned on the herald.
@@ -238,9 +191,8 @@ class _PulseTables:
 
     __slots__ = (
         "delta",
-        "keep",
-        "records",
         "overlap",
+        "quad",
         "herald_mult",
         "no_herald_mult",
         "p_no_d",
@@ -284,9 +236,8 @@ class _PulseTables:
         quad = np.exp(-0.5 * eta * (delta[:, None] ** 2 + delta[None, :] ** 2))
         no_click = np.exp(-0.5 * eta * sqdiff(delta))
         self.delta = delta
-        self.keep = keep
-        self.records = (u1, u2, passive)
         self.overlap = overlap
+        self.quad = quad
         self.herald_mult = overlap * (no_click - (1.0 - dark) * quad)
         self.no_herald_mult = overlap * (1.0 - dark) * quad
         self.p_no_d = (1.0 - dark) * np.exp(-eta * delta**2)
@@ -296,9 +247,8 @@ class _PulseTables:
 
     def count_mult(self, n: int) -> np.ndarray:
         """Multiplier conditioned on exactly n detected d photons."""
-        quad = np.exp(-0.5 * self.eta * (self.delta[:, None] ** 2 + self.delta[None, :] ** 2))
         amp = self.eta * np.outer(self.delta, self.delta)
-        return self.overlap * quad * amp**n / math.factorial(n)
+        return self.overlap * self.quad * amp**n / math.factorial(n)
 
 
 def _as_model(cavity) -> ReflectionModel:
@@ -403,7 +353,7 @@ def double_carving(
 
     From down-down preparation the sequence heralds Psi+, which the final
     rotation can convert into Phi- (R_y(pi/2)) or Phi+ (R_x(pi/2)); from the
-    antiparallel mixture it heralds the singlet Psi-.
+    antiparallel mixture it heralds the singlet Psi-. Reference for run_protocol.
     """
     return _execute(ProtocolSpec("double", prep=prep), pulse, cavity, final_rotation)
 
@@ -429,6 +379,7 @@ def single_carving(
     Carving away the down-down component of the product state leaves a state
     close to Psi+ (exactly Psi+ as alpha -> 0) at herald efficiency
     eta_ideal; the efficiency/fidelity trade-off is the point of this scheme.
+    Reference for run_protocol on ProtocolSpec("single", alpha=alpha).
     """
     return _execute(ProtocolSpec("single", alpha=alpha), pulse, cavity, final_rotation)
 

@@ -200,7 +200,10 @@ def fidelity(state: TwoAtomState, target) -> float:
 
 
 def project(state: TwoAtomState, keep) -> TwoAtomState:
-    """Project onto the span of the given basis labels; result is unnormalized."""
+    """Project onto the span of the given basis labels; result is unnormalized.
+
+    renormalize(project(rho, ("uu", "ud", "du"))) is the ideal-limit carve_step.
+    """
     mask = np.zeros(4)
     for label in keep:
         if label not in BASIS_INDEX:

@@ -29,7 +29,6 @@ from carvesim import (
     parity_closed_form,
     parity_of,
     populations,
-    simulate_detection,
     symmetric_projector,
     wait_evolution,
 )
@@ -148,6 +147,15 @@ def test_husimi_grid_integral_is_symmetric_weight(make_state):
         assert grid.integral == pytest.approx(expect, abs=1e-3)
 
 
+def test_husimi_grid_matches_pointwise_q(make_state):
+    for _ in range(3):
+        st = make_state()
+        grid = husimi_grid(st, 9, 14)
+        for i, theta in enumerate(grid.theta):
+            for j, phi in enumerate(grid.phi):
+                assert abs(grid.q[i, j] - husimi_q(st, theta, phi)) <= 1e-12
+
+
 def test_husimi_grid_shapes_and_projection():
     grid = husimi_grid(bell_state(BellKind.PHI_MINUS), 40, 80)
     assert grid.q.shape == (40, 80)
@@ -235,16 +243,6 @@ def test_default_thresholds():
     rates = DetectionRates()
     assert rates.transmission_threshold == 3
     assert rates.fluorescence_threshold == 0
-
-
-def test_simulate_detection_is_seeded():
-    rates = DetectionRates()
-    assert simulate_detection("antiparallel", rates, 5) == simulate_detection(
-        "antiparallel", rates, 5
-    )
-    counts = [simulate_detection("down_down", rates, s) for s in range(40)]
-    t_mean = np.mean([c[0] for c in counts])
-    assert 5.0 < t_mean < 13.0  # near the 9.0 transmission rate
 
 
 def test_confusion_matrix_shape_and_normalization():

@@ -137,6 +137,14 @@ def test_lifetime_fit_output(tmp_path):
     assert report["tau_us"] == pytest.approx(90.0, rel=1e-3)
 
 
+@pytest.mark.parametrize("points", ["-1", "0", "1", "2"])
+def test_lifetime_too_few_points_is_exit_2(points, capsys):
+    assert main(["lifetime", "--points", points]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_detect_matrix(capsys):
     report = run_json(capsys, ["detect", "--trials", "20000", "--seed", "5"])
     matrix = np.array(report["matrix"])

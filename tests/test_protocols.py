@@ -19,9 +19,9 @@ from carvesim import (
     fidelity,
     monte_carlo_run,
     prepare,
+    project,
+    renormalize,
     run_protocol,
-    scattering_channel,
-    scattering_event,
     sigma_for_lifetime,
     single_carving,
     single_carving_eta_ideal,
@@ -120,6 +120,21 @@ def test_carve_step_requires_normalized_state():
         carve_step(project(sub, ("uu", "ud")), PulseConfig(), None)
 
 
+def test_ideal_carve_step_is_the_dd_projection(make_state):
+    # lossless cavity, perfect detector: a herald removes exactly the dd
+    # component, with probability (1 - e^-nbar) times the coupled weight
+    pulse = PulseConfig(nbar=0.7, dark_prob=0.0, det_eff=1.0, mode_match=1.0)
+    for _ in range(5):
+        st = make_state()
+        out = carve_step(st, pulse, IDEAL)
+        expect = renormalize(project(st, ("uu", "ud", "du")))
+        np.testing.assert_allclose(out.state.rho, expect.rho, rtol=0, atol=1e-12)
+        rho_dd = st.element("dd", "dd").real
+        assert out.herald_prob == pytest.approx(
+            (1 - np.exp(-pulse.nbar)) * (1 - rho_dd), abs=1e-12
+        )
+
+
 def test_never_heralds_without_photons_or_darks():
     st = prepare(PERFECT_PREP)
     with pytest.raises(NeverHeraldsError):
@@ -134,31 +149,7 @@ def test_dark_counts_alone_do_herald():
     np.testing.assert_allclose(out.state.rho, st.rho, atol=1e-12)
 
 
-# --- scattering and dephasing ---------------------------------------------
-
-
-def test_scattering_event_projects_one_atom_up():
-    st = bell_state(BellKind.PSI_PLUS)
-    hit = scattering_event(st, 1)
-    assert hit.element("du", "du") == pytest.approx(0.0, abs=1e-14)
-    assert hit.element("ud", "ud") == pytest.approx(1.0, abs=1e-14)
-    with pytest.raises(ValueError):
-        scattering_event(st, 0)
-
-
-def test_scattering_channel_closed_form():
-    psi = bell_state(BellKind.PSI_PLUS)
-    for lam in (0.0, 0.3, 1.7):
-        out = scattering_channel(psi, lam)
-        assert fidelity(out, BellKind.PSI_PLUS) == pytest.approx(
-            0.5 + 0.5 * np.exp(-lam), abs=1e-12
-        )
-
-
-def test_scattering_channel_fixes_uncoupled_state():
-    dd = prepare(PreparationSpec("pure_dd"))
-    out = scattering_channel(dd, 2.0)
-    np.testing.assert_allclose(out.rho, dd.rho, atol=1e-12)
+# --- dephasing -------------------------------------------------------------
 
 
 def test_wait_evolution_dephases_selected_coherences():
@@ -268,6 +259,17 @@ def test_run_protocol_agrees_with_direct_calls():
     )
     np.testing.assert_allclose(via_spec.state.rho, direct.state.rho, atol=1e-12)
     assert via_spec.success_prob == pytest.approx(direct.success_prob)
+    for alpha in (0.3, 1.2, np.pi / 2):
+        for target, final in (
+            (BellKind.PSI_PLUS, None),
+            (BellKind.PHI_MINUS, RotationSpec("y", np.pi / 2)),
+        ):
+            via_spec = run_protocol(ProtocolSpec("single", target, alpha), PulseConfig(), None)
+            direct = single_carving(alpha, PulseConfig(), None, final_rotation=final)
+            np.testing.assert_allclose(via_spec.state.rho, direct.state.rho, rtol=0, atol=1e-12)
+            assert via_spec.success_prob == pytest.approx(direct.success_prob, abs=1e-12)
+            assert via_spec.efficiency == pytest.approx(direct.efficiency, abs=1e-12)
+            assert via_spec.eta_ideal == direct.eta_ideal
 
 
 # --- Monte Carlo -----------------------------------------------------------
