@@ -51,7 +51,7 @@ def parity_closed_form(state: TwoAtomState, phi: float) -> float:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParityScan:
     """Sampled parity curve: phases (radians, strictly increasing), values."""
 
@@ -168,7 +168,7 @@ def symmetric_projector() -> np.ndarray:
     return np.eye(4, dtype=complex) - np.outer(singlet, singlet.conj())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HusimiGrid:
     """Husimi Q on a theta x phi grid with Mollweide map coordinates.
 
@@ -245,42 +245,60 @@ def gaussian_lifetime_fit(times, fidelities, baseline: float = 0.5) -> float:
 
     The baseline is fixed at the fully dephased fidelity of the target state
     (1/2 for Bell states losing only coherence). Constant input data has no
-    decay scale and returns an infinite tau sentinel.
+    decay scale and returns an infinite tau sentinel, as does a tau run past
+    the window. F0 is a linear fit at each tau, so only log tau is searched.
     """
-    # scipy.optimize is most of carvesim's import time; only this fit needs it
-    from scipy.optimize import curve_fit
-
     times = np.asarray(times, dtype=float)
     fids = np.asarray(fidelities, dtype=float)
     if times.ndim != 1 or times.shape != fids.shape or len(times) < 3:
         raise ValueError("need at least 3 (time, fidelity) samples")
     if len(np.unique(times)) != len(times):
         raise ValueError("times must be distinct")
+    if not np.all(np.isfinite([times, fids])):
+        raise ValueError("times and fidelities must be finite")
     if np.ptp(fids) < 1e-9 or abs(fids[np.argmax(times)] - fids[np.argmin(times)]) < 1e-12:
         return float("inf")
 
-    amp0 = fids[np.argmin(times)] - baseline
-    rel = (fids - baseline) / amp0 if amp0 != 0 else np.zeros_like(fids)
+    y = fids - baseline
+    amp0 = y[np.argmin(times)]
+    rel = y / amp0 if amp0 != 0 else np.zeros_like(fids)
     usable = (rel > 1e-6) & (rel < 1.0) & (times > 0)
-    if np.any(usable):
-        slope = np.polyfit(times[usable] ** 2, np.log(rel[usable]), 1)[0]
-        tau0 = 1.0 / math.sqrt(-slope) if slope < 0 else float(np.max(times))
+    slope = np.polyfit(times[usable] ** 2, np.log(rel[usable]), 1)[0] if np.any(usable) else 0
+    log_tau = -0.5 * math.log(-slope) if slope < 0 else math.log(np.max(np.abs(times)))
+
+    def fit_at(log_tau):  # x = t^2 / tau^2, e = exp(-x), amplitude, residual, cost
+        x = times**2 * math.exp(-2.0 * log_tau)
+        e = np.exp(-x)
+        amp = (e @ y) / (e @ e) if e @ e > 0 else 0.0
+        r = y - amp * e
+        return x, e, amp, r, r @ r
+
+    x, e, amp, r, cost = fit_at(log_tau)
+    last_grad = last_step = 0.0
+    for _ in range(100):
+        if abs(amp) * x.max() < 1e-9:
+            break  # no amplitude, or tau ran past the window
+        g = 2.0 * x * e  # d e / d log tau
+        jac = -(g @ r - amp * (e @ g)) / (e @ e) * e - amp * g  # d r / d log tau
+        grad = -amp * (g @ r)  # jac @ r, as r is orthogonal to e
+        if not jac @ jac > 0:
+            break  # the residual does not depend on tau: stationary
+        # the secant's curvature where it is positive, else Gauss-Newton's
+        curv = (grad - last_grad) / last_step if (grad - last_grad) * last_step > 0 else jac @ jac
+        step = min(max(-grad / curv, -1.0), 1.0)
+        # halve until the residual falls; below 1e-9 rounding hides the change
+        while abs(step) > 1e-9 and fit_at(log_tau + step)[-1] >= cost:
+            step /= 2.0
+        if abs(step) < 1e-12 or abs(last_step) <= abs(step) <= 1e-9:
+            break  # converged, or the gradient's steps stopped shrinking
+        log_tau, last_step, last_grad = log_tau + step, step, grad
+        x, e, amp, r, cost = fit_at(log_tau)
     else:
-        tau0 = float(np.max(times)) or 1.0
-
-    def model(t, f0, tau):
-        return baseline + (f0 - baseline) * np.exp(-(t / tau) ** 2)
-
-    try:
-        popt, _ = curve_fit(
-            model, times, fids, p0=[fids[np.argmin(times)], tau0], maxfev=10000
-        )
-    except RuntimeError as exc:
-        raise FitFailedError(f"lifetime fit failed: {exc}") from exc
-    tau = abs(float(popt[1]))
-    if abs(popt[0] - baseline) < 1e-9:
+        raise FitFailedError("lifetime fit did not converge in 100 steps")
+    # no amplitude, or a fitted drop over the window below the flat-data scale
+    if abs(amp) < 1e-9 or abs(amp) * x.max() < 1e-9:
         return float("inf")
-    return tau
+    return math.exp(log_tau)
 
 
 @dataclass(frozen=True)

@@ -108,7 +108,7 @@ def _branch_table(r_by_n: np.ndarray, s_by_n: np.ndarray):
     return a_amp, d_amp, scatter, loss
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReflectionModel:
     """Per-branch reflection data, indexed by the register basis (uu..dd).
 

@@ -22,7 +22,6 @@ from .analysis import (
     DetectionRates,
     FitFailedError,
     ParityScan,
-    UnderdeterminedScanError,
     confusion_matrix,
     fit_parity,
     gaussian_lifetime_fit,
@@ -48,7 +47,7 @@ from .protocols import (
     run_protocol,
     wait_evolution,
 )
-from .states import BellKind, NullBranchError, bell_state, fidelity
+from .states import BellKind, bell_state, fidelity
 
 _TARGETS = {
     "psi_plus": BellKind.PSI_PLUS,
@@ -213,11 +212,14 @@ def _emit_json(report, path=None) -> None:
 
 
 def _sibling(path: str, suffix: str) -> str:
+    if path.endswith(suffix):
+        raise ValueError(f"--out {path!r} ends in {suffix}, the suffix of its sibling file")
     other = ".json" if suffix == ".csv" else ".csv"
     return path.removesuffix(other) + suffix
 
 
 def cmd_protocol(args, config: RunConfig) -> int:
+    csv_path = _sibling(config.output_path, ".csv") if config.output_path else None
     model, pulse, prep, _ = _run_pieces(config, args)
     spec = _protocol_spec(args, prep)
     result = run_protocol(spec, pulse, model)
@@ -249,9 +251,8 @@ def cmd_protocol(args, config: RunConfig) -> int:
     if spec.scheme == "single":
         report["exact"]["eta_ideal"] = result.eta_ideal
         report["exact"]["f_ideal"] = result.f_ideal
-    out = config.output_path
-    _emit_json(report, out)
-    if out:
+    _emit_json(report, config.output_path)
+    if csv_path:
         rows = [
             (i + 1, s.herald_prob, s.d_fraction, s.any_prob)
             for i, s in enumerate(result.steps)
@@ -261,7 +262,7 @@ def cmd_protocol(args, config: RunConfig) -> int:
             "protocol",
             ["step", "herald_prob", "d_fraction", "any_prob"],
             rows,
-            path=_sibling(out, ".csv"),
+            path=csv_path,
         )
     return 0
 
@@ -307,17 +308,17 @@ def cmd_sweep(args, config: RunConfig) -> int:
 def cmd_parity(args, config: RunConfig) -> int:
     if args.n_phases < 3:
         raise ValueError("parity scan needs at least 3 phases")
+    json_path = _sibling(config.output_path, ".json") if config.output_path else None
     model, pulse, prep, _ = _run_pieces(config, args)
     state = run_protocol(_protocol_spec(args, prep), pulse, model).state
     scan = ParityScan.of_state(state, args.n_phases)
     fit = fit_parity(scan)
-    out = config.output_path
     _write_csv(
         config,
         "parity",
         ["phi", "parity"],
         zip(scan.phases, scan.parities),
-        path=out,
+        path=config.output_path,
     )
     _emit_json(
         {
@@ -329,7 +330,7 @@ def cmd_parity(args, config: RunConfig) -> int:
             "residual": fit.residual,
             "offset": 2.0 * fit.re_updn_dnup,
         },
-        _sibling(out, ".json") if out else None,
+        json_path,
     )
     return 0
 
@@ -370,6 +371,7 @@ def cmd_husimi(args, config: RunConfig) -> int:
 
 
 def cmd_lifetime(args, config: RunConfig) -> int:
+    json_path = _sibling(config.output_path, ".json") if config.output_path else None
     noise = NoiseModel(0.0, 0.0) if args.ideal else config.noise
     target = _TARGETS[args.target]
     bell = bell_state(target)
@@ -378,14 +380,13 @@ def cmd_lifetime(args, config: RunConfig) -> int:
         [fidelity(wait_evolution(bell, float(t), noise), target) for t in times]
     )
     tau = gaussian_lifetime_fit(times, fids, baseline=0.5)
-    out = config.output_path
     _write_csv(
         config,
         "lifetime",
         ["t_us", "fidelity"],
         zip(times, fids),
         extra_header=[f"target: {args.target}"],
-        path=out,
+        path=config.output_path,
     )
     _emit_json(
         {
@@ -394,7 +395,7 @@ def cmd_lifetime(args, config: RunConfig) -> int:
             "target": args.target,
             "tau_us": tau,
         },
-        _sibling(out, ".json") if out else None,
+        json_path,
     )
     return 0
 
@@ -422,21 +423,14 @@ def cmd_detect(args, config: RunConfig) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _resolve_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return args.func(args, config)
+        return args.func(args, _resolve_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (
         NeverHeraldsError,
         FitFailedError,
-        UnderdeterminedScanError,
-        NullBranchError,
-        ValueError,
+        ValueError,  # also UnderdeterminedScanError and NullBranchError
         ArithmeticError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from carvesim import (
     FitFailedError,
     NoiseModel,
     ParityScan,
+    ReflectionModel,
     UnderdeterminedScanError,
     bell_fidelity,
     bell_state,
@@ -211,6 +213,49 @@ def test_lifetime_fit_input_validation():
         gaussian_lifetime_fit([0.0, 1.0, 1.0], [1.0, 0.9, 0.8])
 
 
+def _profiled_residual(times, fids, tau, baseline=0.5):
+    e = np.exp(-((times / tau) ** 2))
+    y = fids - baseline
+    r = y - (e @ y) / (e @ e) * e
+    return r @ r
+
+
+def test_lifetime_fit_is_a_least_squares_minimum_on_noisy_data():
+    rng = np.random.default_rng(8)
+    for tau, sigma, n in ((60.0, 0.02, 25), (134.0, 0.005, 40), (300.0, 0.03, 60)):
+        times = np.linspace(0.0, 350.0, n)
+        fids = 0.5 + 0.45 * np.exp(-((times / tau) ** 2)) + sigma * rng.normal(size=n)
+        fit = gaussian_lifetime_fit(times, fids)
+        assert fit == pytest.approx(tau, rel=0.2)
+        best = _profiled_residual(times, fids, fit)
+        for nudge in (1.0 - 1e-4, 1.0 + 1e-4):
+            assert _profiled_residual(times, fids, fit * nudge) >= best
+
+
+def test_lifetime_fit_is_mirror_symmetric_about_the_baseline():
+    rng = np.random.default_rng(9)
+    times = np.linspace(0.0, 300.0, 40)
+    below = 0.5 - 0.4 * np.exp(-((times / 110.0) ** 2)) + 0.01 * rng.normal(size=40)
+    mirror = 1.0 - below
+    assert gaussian_lifetime_fit(times, below) == pytest.approx(
+        gaussian_lifetime_fit(times, mirror), rel=1e-12
+    )
+
+
+def test_lifetime_fit_ill_posed_inputs_end_cleanly():
+    # no decay inside the window runs tau away: the inf sentinel, not an overflow;
+    # a decay that is over before the first sample leaves no minimum to converge to
+    times = np.linspace(0.0, 300.0, 40)
+    rising = 0.5 + 0.4 * (1.0 - np.exp(-((times / 100.0) ** 2)))
+    noise = 0.5 + 0.01 * np.random.default_rng(5).normal(size=40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gaussian_lifetime_fit(times, rising) == np.inf
+        assert gaussian_lifetime_fit(times, noise) == np.inf
+        with pytest.raises(FitFailedError):
+            gaussian_lifetime_fit(times, 0.5 + 0.4 * np.exp(-((times / 1.0) ** 2)))
+
+
 def test_singlet_outlives_triplet_outlives_phi():
     # common-mode noise dominates: uu-dd coherences die first
     noise = NoiseModel(sigma_common_2pi_khz=5.0, sigma_diff_2pi_khz=0.5)
@@ -269,14 +314,34 @@ def test_confusion_matrix_tallies_classify():
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy.optimize dominates import time and only the lifetime fit needs it
+    # carvesim needs numpy alone, the lifetime fit included
     src = str(Path(carvesim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, carvesim, carvesim.cli; print('scipy' in sys.modules)"
+    probe = (
+        "import sys, numpy, carvesim, carvesim.cli\n"
+        "t = numpy.linspace(0.0, 300.0, 40)\n"
+        "carvesim.gaussian_lifetime_fit(t, 0.5 + 0.4 * numpy.exp(-(t / 134.0) ** 2))\n"
+        "code = carvesim.cli.main(['lifetime'])\n"
+        "print(code, 'scipy' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "False"
+    assert out.splitlines()[-1] == "0 False"
+
+
+def test_array_dataclasses_compare_and_hash_by_identity():
+    # equal array fields must not make == ambiguous: equality is identity
+    makers = (
+        ReflectionModel.ideal,
+        lambda: ParityScan(np.array([0.0, 1.0, 2.0]), np.zeros(3)),
+        lambda: husimi_grid(bell_state(BellKind.PSI_PLUS), 4, 6),
+    )
+    for make in makers:
+        a, b = make(), make()
+        assert (a == a) is True
+        assert (a == b) is False
+        assert len({a, b, a}) == 2
 
 
 def test_rates_validation():

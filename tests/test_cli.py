@@ -137,6 +137,19 @@ def test_lifetime_fit_output(tmp_path):
     assert report["tau_us"] == pytest.approx(90.0, rel=1e-3)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["protocol", "--trials", "100", "--out", "run.csv"], ["parity", "--out", "scan.json"]],
+    ids=["protocol", "parity"],
+)
+def test_out_with_the_sibling_suffix_is_exit_2(argv, tmp_path, capsys, monkeypatch):
+    # run.csv would hold the JSON report next to run.csv.csv; nothing is written
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("points", ["-1", "0", "1", "2"])
 def test_lifetime_too_few_points_is_exit_2(points, capsys):
     assert main(["lifetime", "--points", points]) == 2
@@ -208,6 +221,9 @@ def test_bad_config_is_exit_1(tmp_path):
         cfg.write_text(line)
         assert main(["protocol", "--config", str(cfg)]) == 1
         assert main(["lifetime", "--config", str(cfg)]) == 1
+    cfg.write_bytes(b"\xffpulse.nbar = 0.3\n")  # not UTF-8
+    assert main(["protocol", "--config", str(cfg)]) == 1
+    assert main(["detect", "--rates-file", str(cfg)]) == 1
 
 
 def test_physics_errors_are_exit_2():
