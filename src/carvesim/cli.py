@@ -5,6 +5,10 @@ heralds, a failed fit, invalid run parameters, a numeric overflow). Every CSV
 starts with #-prefixed header lines naming the command, the config hash and
 the columns; JSON reports use sorted keys. Identical config and seed give
 byte-identical outputs.
+
+Each cmd_* only computes: it returns a JSON report and a CSV table, either
+of which may be None. _inputs builds what a run simulates, and _run_command
+stamps and routes what a command returns.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("protocol", parents=[common], help="run one carving protocol")
     _add_protocol_args(p)
-    p.set_defaults(func=cmd_protocol)
+    p.set_defaults(func=cmd_protocol, formats=("json", "csv"))
 
     p = sub.add_parser("sweep", parents=[common], help="sweep nbar or alpha")
     _add_protocol_args(p)
@@ -87,12 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, formats=("csv",))
 
     p = sub.add_parser("parity", parents=[common], help="parity scan of a protocol output")
     _add_protocol_args(p)
     p.add_argument("--n-phases", type=int, default=24)
-    p.set_defaults(func=cmd_parity)
+    p.set_defaults(func=cmd_parity, formats=("csv", "json"))
 
     p = sub.add_parser("husimi", parents=[common], help="Husimi Q grid")
     _add_protocol_args(p)
@@ -102,17 +106,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate a named pure state instead of the protocol output",
     )
     p.add_argument("--resolution", default="60x120", help="grid as NTHETAxNPHI")
-    p.set_defaults(func=cmd_husimi)
+    p.set_defaults(func=cmd_husimi, formats=("csv",))
 
     p = sub.add_parser("lifetime", parents=[common], help="dephasing curve and tau fit")
     p.add_argument("--target", choices=sorted(_TARGETS), default="psi_plus")
     p.add_argument("--t-max", type=float, default=300.0, help="last wait time in us")
     p.add_argument("--points", type=int, default=40)
-    p.set_defaults(func=cmd_lifetime)
+    p.set_defaults(func=cmd_lifetime, formats=("csv", "json"))
 
     p = sub.add_parser("detect", parents=[common], help="state-detection confusion matrix")
     p.add_argument("--rates-file", metavar="PATH", help="override detection count means")
-    p.set_defaults(func=cmd_detect)
+    p.set_defaults(func=cmd_detect, formats=("json",))
     return parser
 
 
@@ -133,9 +137,9 @@ def _resolve_config(args) -> RunConfig:
     return with_overrides(config, **{k: v for k, v in top.items() if v is not None})
 
 
-def _run_pieces(config: RunConfig, args):
-    """(model, pulse, prep, noise) with the --ideal override applied."""
-    target = _TARGETS[getattr(args, "target", "psi_plus")]
+def _inputs(args, config: RunConfig):
+    """(spec, pulse, model, noise) of a run, with the --ideal override applied."""
+    target = _TARGETS[args.target]
     scheme = getattr(args, "scheme", "double")
     prep = config.prep
     if scheme == "double" and target is BellKind.PSI_MINUS and prep.kind != "antiparallel":
@@ -151,33 +155,15 @@ def _run_pieces(config: RunConfig, args):
         noise = NoiseModel(0.0, 0.0)
     else:
         model = ReflectionModel.from_params(config.cavity)
-        pulse = config.pulse
-        noise = config.noise
-    return model, pulse, prep, noise
-
-
-def _protocol_spec(args, prep: PreparationSpec) -> ProtocolSpec:
-    return ProtocolSpec(
-        scheme=args.scheme,
-        target=_TARGETS[args.target],
-        alpha=args.alpha,
-        prep=prep,
-    )
+        pulse, noise = config.pulse, config.noise
+    spec = ProtocolSpec(scheme, target, getattr(args, "alpha", math.pi / 2), prep)
+    return spec, pulse, model, noise
 
 
 def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return f"{float(value):.12g}"
     return str(value)
-
-
-def _write_csv(config, command, columns, rows, extra_header=(), path=None) -> None:
-    lines = [f"# carvesim {command}", f"# config_hash: {config_hash(config)}"]
-    lines += [f"# {line}" for line in extra_header]
-    lines.append("# columns: " + ",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_text("\n".join(lines) + "\n", path)
 
 
 def _write_text(text: str, path) -> None:
@@ -207,10 +193,6 @@ def _jsonable(obj):
     return obj
 
 
-def _emit_json(report, path=None) -> None:
-    _write_text(json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n", path)
-
-
 def _sibling(path: str, suffix: str) -> str:
     if path.endswith(suffix):
         raise ValueError(f"--out {path!r} ends in {suffix}, the suffix of its sibling file")
@@ -218,15 +200,45 @@ def _sibling(path: str, suffix: str) -> str:
     return path.removesuffix(other) + suffix
 
 
-def cmd_protocol(args, config: RunConfig) -> int:
-    csv_path = _sibling(config.output_path, ".csv") if config.output_path else None
-    model, pulse, prep, _ = _run_pieces(config, args)
-    spec = _protocol_spec(args, prep)
+def _run_command(args, config: RunConfig) -> None:
+    """Run the subcommand, stamp the report and table it returns, and write them.
+
+    args.formats lists the subcommand's outputs, primary first. The primary
+    goes to --out, or to stdout. With --out, the other goes to the sibling
+    file with its suffix; without --out, a JSON report follows the CSV on
+    stdout and a CSV table that is not primary is not written.
+    """
+    out = config.output_path
+    primary, *others = args.formats
+    paths = {primary: out}
+    if out:
+        paths.update({fmt: _sibling(out, "." + fmt) for fmt in others})
+    elif "json" in others:
+        paths["json"] = None
+    report, table = args.func(args, config)
+    stamp = {"config_hash": config_hash(config)}
+    if args.ideal:
+        stamp["ideal"] = True
+    texts = {}
+    if report is not None:
+        report = {**report, "command": args.command, **stamp}
+        texts["json"] = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+    if table is not None:
+        columns, rows, extra_header = table
+        header = [f"carvesim {args.command}"]
+        header += [f"{k}: {v if isinstance(v, str) else json.dumps(v)}" for k, v in stamp.items()]
+        header += [*extra_header, "columns: " + ",".join(columns)]
+        lines = [f"# {line}" for line in header] + [",".join(map(_fmt, row)) for row in rows]
+        texts["csv"] = "\n".join(lines) + "\n"
+    for fmt, path in paths.items():
+        _write_text(texts[fmt], path)
+
+
+def cmd_protocol(args, config: RunConfig):
+    spec, pulse, model, _ = _inputs(args, config)
     result = run_protocol(spec, pulse, model)
     mc = monte_carlo_run(spec, config.trials, config.seed, pulse, model)
     report = {
-        "command": "protocol",
-        "config_hash": config_hash(config),
         "scheme": spec.scheme,
         "target": args.target,
         "exact": {
@@ -251,31 +263,21 @@ def cmd_protocol(args, config: RunConfig) -> int:
     if spec.scheme == "single":
         report["exact"]["eta_ideal"] = result.eta_ideal
         report["exact"]["f_ideal"] = result.f_ideal
-    _emit_json(report, config.output_path)
-    if csv_path:
-        rows = [
-            (i + 1, s.herald_prob, s.d_fraction, s.any_prob)
-            for i, s in enumerate(result.steps)
-        ]
-        _write_csv(
-            config,
-            "protocol",
-            ["step", "herald_prob", "d_fraction", "any_prob"],
-            rows,
-            path=csv_path,
-        )
-    return 0
+    rows = [
+        (i + 1, s.herald_prob, s.d_fraction, s.any_prob)
+        for i, s in enumerate(result.steps)
+    ]
+    return report, (["step", "herald_prob", "d_fraction", "any_prob"], rows, ())
 
 
-def cmd_sweep(args, config: RunConfig) -> int:
+def cmd_sweep(args, config: RunConfig):
     if args.steps < 2:
         raise ValueError("sweep needs at least 2 steps")
     if not args.stop > args.start:
         raise ValueError("sweep range must be increasing")
     if args.variable == "alpha" and args.scheme == "double":
         raise ValueError("double carving has no alpha; sweep alpha with --scheme single")
-    model, pulse, prep, _ = _run_pieces(config, args)
-    spec = _protocol_spec(args, prep)
+    spec, pulse, model, _ = _inputs(args, config)
     xs = np.linspace(args.start, args.stop, args.steps)
     rows = []
     for x in xs:
@@ -294,60 +296,40 @@ def cmd_sweep(args, config: RunConfig) -> int:
                 result.success_prob,
             )
         )
-    _write_csv(
-        config,
-        "sweep",
-        ["x", "fidelity_exact", "fidelity_mc", "mc_stderr", "success_prob"],
-        rows,
-        extra_header=[f"variable: {args.variable}"],
-        path=config.output_path,
-    )
-    return 0
+    columns = ["x", "fidelity_exact", "fidelity_mc", "mc_stderr", "success_prob"]
+    return None, (columns, rows, [f"variable: {args.variable}"])
 
 
-def cmd_parity(args, config: RunConfig) -> int:
+def cmd_parity(args, config: RunConfig):
     if args.n_phases < 3:
         raise ValueError("parity scan needs at least 3 phases")
-    json_path = _sibling(config.output_path, ".json") if config.output_path else None
-    model, pulse, prep, _ = _run_pieces(config, args)
-    state = run_protocol(_protocol_spec(args, prep), pulse, model).state
+    spec, pulse, model, _ = _inputs(args, config)
+    state = run_protocol(spec, pulse, model).state
     scan = ParityScan.of_state(state, args.n_phases)
     fit = fit_parity(scan)
-    _write_csv(
-        config,
-        "parity",
-        ["phi", "parity"],
-        zip(scan.phases, scan.parities),
-        path=config.output_path,
-    )
-    _emit_json(
-        {
-            "command": "parity",
-            "config_hash": config_hash(config),
-            "re_updn_dnup": fit.re_updn_dnup,
-            "im_upup_dndn": fit.im_upup_dndn,
-            "re_upup_dndn": fit.re_upup_dndn,
-            "residual": fit.residual,
-            "offset": 2.0 * fit.re_updn_dnup,
-        },
-        json_path,
-    )
-    return 0
+    report = {
+        "re_updn_dnup": fit.re_updn_dnup,
+        "im_upup_dndn": fit.im_upup_dndn,
+        "re_upup_dndn": fit.re_upup_dndn,
+        "residual": fit.residual,
+        "offset": 2.0 * fit.re_updn_dnup,
+    }
+    return report, (["phi", "parity"], zip(scan.phases, scan.parities), ())
 
 
-def cmd_husimi(args, config: RunConfig) -> int:
+def cmd_husimi(args, config: RunConfig):
     try:
         n_theta, _, n_phi = args.resolution.partition("x")
         n_theta, n_phi = int(n_theta), int(n_phi)
     except ValueError as exc:
         raise ValueError(f"bad resolution {args.resolution!r}, expected NxM") from exc
-    model, pulse, prep, _ = _run_pieces(config, args)
     if args.state == "down_down":
         state = prepare(PreparationSpec("pure_dd"))
     elif args.state:
         state = bell_state(_TARGETS[args.state])
     else:
-        state = run_protocol(_protocol_spec(args, prep), pulse, model).state
+        spec, pulse, model, _ = _inputs(args, config)
+        state = run_protocol(spec, pulse, model).state
     grid = husimi_grid(state, n_theta, n_phi)
     flat_idx = int(np.argmax(grid.q))
     ti, pi = np.unravel_index(flat_idx, grid.q.shape)
@@ -356,74 +338,44 @@ def cmd_husimi(args, config: RunConfig) -> int:
         for i in range(n_theta)
         for j in range(n_phi)
     )
-    _write_csv(
-        config,
-        "husimi",
-        ["theta", "phi", "q", "x", "y"],
-        rows,
-        extra_header=[
-            f"integral: {grid.integral:.12g}",
-            f"max_q: {grid.q[ti, pi]:.12g} at theta={grid.theta[ti]:.12g} phi={grid.phi[pi]:.12g}",
-        ],
-        path=config.output_path,
-    )
-    return 0
+    extra_header = [
+        f"integral: {grid.integral:.12g}",
+        f"max_q: {grid.q[ti, pi]:.12g} at theta={grid.theta[ti]:.12g} phi={grid.phi[pi]:.12g}",
+    ]
+    return None, (["theta", "phi", "q", "x", "y"], rows, extra_header)
 
 
-def cmd_lifetime(args, config: RunConfig) -> int:
-    json_path = _sibling(config.output_path, ".json") if config.output_path else None
-    noise = NoiseModel(0.0, 0.0) if args.ideal else config.noise
-    target = _TARGETS[args.target]
-    bell = bell_state(target)
+def cmd_lifetime(args, config: RunConfig):
+    spec, _, _, noise = _inputs(args, config)
+    bell = bell_state(spec.target)
     times = np.linspace(0.0, args.t_max, args.points)
     fids = np.array(
-        [fidelity(wait_evolution(bell, float(t), noise), target) for t in times]
+        [fidelity(wait_evolution(bell, float(t), noise), spec.target) for t in times]
     )
     tau = gaussian_lifetime_fit(times, fids, baseline=0.5)
-    _write_csv(
-        config,
-        "lifetime",
-        ["t_us", "fidelity"],
-        zip(times, fids),
-        extra_header=[f"target: {args.target}"],
-        path=config.output_path,
-    )
-    _emit_json(
-        {
-            "command": "lifetime",
-            "config_hash": config_hash(config),
-            "target": args.target,
-            "tau_us": tau,
-        },
-        json_path,
-    )
-    return 0
+    report = {"target": args.target, "tau_us": tau}
+    return report, (["t_us", "fidelity"], zip(times, fids), [f"target: {args.target}"])
 
 
-def cmd_detect(args, config: RunConfig) -> int:
+def cmd_detect(args, config: RunConfig):
     rates = load_rates(args.rates_file) if args.rates_file else DetectionRates()
     matrix = confusion_matrix(rates, config.trials, config.seed)
     stderr = np.sqrt(matrix * (1.0 - matrix) / config.trials)
-    _emit_json(
-        {
-            "command": "detect",
-            "config_hash": config_hash(config),
-            "true_classes": list(DETECTION_CLASSES),
-            "assigned_classes": list(DETECTION_CLASSES) + ["inconsistent"],
-            "matrix": matrix,
-            "stderr": stderr,
-            "trials": config.trials,
-            "seed": config.seed,
-        },
-        config.output_path,
-    )
-    return 0
+    report = {
+        "true_classes": list(DETECTION_CLASSES),
+        "assigned_classes": list(DETECTION_CLASSES) + ["inconsistent"],
+        "matrix": matrix,
+        "stderr": stderr,
+        "trials": config.trials,
+        "seed": config.seed,
+    }
+    return report, None
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, _resolve_config(args))
+        _run_command(args, _resolve_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -435,6 +387,7 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def run() -> None:

@@ -12,7 +12,7 @@ monte_carlo_run samples the same statistics trajectory by trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -173,7 +173,6 @@ class HeraldOutcome:
     d_fraction: float
     branch_log: dict[int, float]
     any_prob: float
-    no_herald_state: TwoAtomState | None
 
     def __post_init__(self):
         if not -1e-12 <= self.herald_prob <= 1 + 1e-12:
@@ -194,7 +193,6 @@ class _PulseTables:
         "overlap",
         "quad",
         "herald_mult",
-        "no_herald_mult",
         "p_no_d",
         "p_no_a",
         "eta",
@@ -239,7 +237,6 @@ class _PulseTables:
         self.overlap = overlap
         self.quad = quad
         self.herald_mult = overlap * (no_click - (1.0 - dark) * quad)
-        self.no_herald_mult = overlap * (1.0 - dark) * quad
         self.p_no_d = (1.0 - dark) * np.exp(-eta * delta**2)
         self.p_no_a = np.exp(-eta * (keep**2 + nu_unmatched))
         self.eta = eta
@@ -299,17 +296,12 @@ def carve_step(
             break
         n += 1
 
-    no_herald_prob = 1.0 - herald_prob
-    no_herald_state = None
-    if no_herald_prob >= 1e-15:
-        no_herald_state = TwoAtomState(state.rho * tables.no_herald_mult / no_herald_prob)
     return HeraldOutcome(
         state=heralded,
         herald_prob=herald_prob,
         d_fraction=d_fraction,
         branch_log=branch_log,
         any_prob=any_prob,
-        no_herald_state=no_herald_state,
     )
 
 
@@ -331,16 +323,12 @@ class ProtocolResult:
     probabilities (herald per attempt).
     """
 
-    outcome: HeraldOutcome
+    state: TwoAtomState
     success_prob: float
     efficiency: float
     steps: tuple[HeraldOutcome, ...]
     eta_ideal: float | None = None
     f_ideal: float | None = None
-
-    @property
-    def state(self) -> TwoAtomState:
-        return self.outcome.state
 
 
 def double_carving(
@@ -450,7 +438,7 @@ def _execute(
     cavity: CavityParams | ReflectionModel | None,
     final: RotationSpec | None,
 ) -> ProtocolResult:
-    """Exact channel along the op list; the outcome is the last step, rotated."""
+    """Exact channel along the op list; the state is the last step's, rotated."""
     prep, ops = _build_ops(spec, final)
     state = prepare(prep)
     steps = []
@@ -467,7 +455,7 @@ def _execute(
             "f_ideal": float(single_carving_f_ideal(spec.alpha)),
         }
     return ProtocolResult(
-        outcome=replace(steps[-1], state=state),
+        state=state,
         success_prob=math.prod(s.d_fraction for s in steps),
         efficiency=math.prod(s.herald_prob for s in steps),
         steps=tuple(steps),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -236,3 +237,73 @@ def test_cli_is_deterministic(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# Small runs of each command, and the sha256 of what they write: stdout
+# without --out (parity and lifetime print their CSV, then their JSON), and
+# both files with --out. Any changed byte is a behaviour change.
+PINNED_ARGV = {
+    "protocol": ["protocol", "--trials", "300", "--seed", "3"],
+    "sweep": ["sweep", "--variable", "nbar", "--start", "0.1", "--stop", "0.7", "--steps", "3",
+              "--trials", "200", "--seed", "3"],
+    "parity": ["parity", "--n-phases", "8"],
+    "husimi": ["husimi", "--resolution", "6x12"],
+    "lifetime": ["lifetime", "--points", "10"],
+    "detect": ["detect", "--trials", "2000", "--seed", "3"],
+}
+PINNED_STDOUT = {
+    "protocol": "8a3972149517f5d0f31214d0276f759ad33cd658f603bf6b221a7d26bc14aa04",
+    "sweep": "929710da9ab3725f8ab4585fc9e085a73015b287795335854c7906a2b80b362f",
+    "parity": "fef515189033d2a2f9bfff8dff3e7f926d5b940f6f80a0be17ad112b0ab5299b",
+    "husimi": "aa6bb94131dbbf1b8c74763995b3ef51fdf623f66487b9a9b3865a099a6446d6",
+    "lifetime": "0c4aef27fe873e1174980d5042245422189a67bdeab547b0d8ac1daea35ef021",
+    "detect": "f6b9ce50f41b2bed96f665f20029ca9f0e73319cf4b41f5d8151068a82d6ae7b",
+}
+PINNED_FILES = {
+    "protocol": ("run.json", {
+        "run.json": "8a3972149517f5d0f31214d0276f759ad33cd658f603bf6b221a7d26bc14aa04",
+        "run.csv": "a4effdb9376934bdb0c224d49e13bd744c4044fe10e84969db7143a0c4955b55",
+    }),
+    "parity": ("scan.csv", {
+        "scan.csv": "94bc2d0cb04930239681d0715295b0e4af456343dc10ce4265eada499f724216",
+        "scan.json": "d9ec4739d7f6ae71dbd979fec8930b3aea0b7d77e4fd5283a24a668e0590b625",
+    }),
+    "lifetime": ("life.csv", {
+        "life.csv": "1554849b1fd5be2ba6e7e8ba4d28d1a1103515d6701689744b610c00f32d7b61",
+        "life.json": "f8c34310639946ff9102762fd1b6fa5625c9a9a361b44566e4ab35b64fbb8438",
+    }),
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
+def test_stdout_bytes_are_pinned(command, capsys):
+    assert main(PINNED_ARGV[command]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == PINNED_STDOUT[command]
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_FILES))
+def test_output_file_bytes_are_pinned(command, tmp_path, capsys, monkeypatch):
+    out, digests = PINNED_FILES[command]
+    monkeypatch.chdir(tmp_path)
+    assert main(PINNED_ARGV[command] + ["--out", out]) == 0
+    assert capsys.readouterr().out == ""
+    assert {p.name: sha256(p.read_bytes()) for p in tmp_path.iterdir()} == digests
+
+
+def test_ideal_flag_is_marked_in_both_files(tmp_path, monkeypatch):
+    # --ideal changes the numbers but not the config hash, so the outputs say so
+    monkeypatch.chdir(tmp_path)
+    argv = ["protocol", "--trials", "200", "--out", "x.json"]
+    for flags, marked in (([], False), (["--ideal"], True)):
+        assert main(argv + flags) == 0
+        report = json.loads((tmp_path / "x.json").read_text())
+        header = (tmp_path / "x.csv").read_text().splitlines()
+        assert ("ideal" in report) is marked
+        assert ("# ideal: true" in header) is marked
+    assert report["ideal"] is True
+    assert header[1].startswith("# config_hash: ")
+    assert header[2] == "# ideal: true"
