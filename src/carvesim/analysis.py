@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import BellKind, RotationSpec, TwoAtomState, bell_vector, global_rotation
+from .states import BellKind, RotationSpec, TwoAtomState, _pair_unitary, bell_vector
 
 DETECTION_CLASSES = ("down_down", "antiparallel", "up_up")
 
@@ -32,11 +32,12 @@ def parity_of(state: TwoAtomState, phi: float) -> float:
     Operational definition: rotate both atoms by pi/2 about the equatorial
     axis at azimuth pi/2 - phi (phi = 0 is the y axis), then measure
     P_uu + P_dd - P_ud - P_du. Equal to parity_closed_form by construction.
+    Only the diagonal of the rotated matrix is read, so no state is built.
     """
     if abs(state.trace_weight - 1.0) > 1e-9:
         raise ValueError("parity needs a normalized state")
-    rotated = global_rotation(state, RotationSpec(np.pi / 2 - phi, np.pi / 2))
-    d = rotated.rho.diagonal().real
+    u2 = _pair_unitary(RotationSpec(np.pi / 2 - phi, np.pi / 2))
+    d = (u2 @ state.rho @ u2.conj().T).diagonal().real
     return float(d[0] + d[3] - d[1] - d[2])
 
 
@@ -206,9 +207,8 @@ def husimi_grid(state: TwoAtomState, n_theta: int, n_phi: int) -> HusimiGrid:
     q = np.where(np.abs(q) < 1e-300, 0.0, q)
     weights = np.sin(theta)[:, None] * (np.pi / n_theta) * (2.0 * np.pi / n_phi)
     integral = float(np.sum(q * weights))
-    theta_grid = np.broadcast_to(theta[:, None], q.shape)
-    phi_grid = np.broadcast_to(phi[None, :], q.shape)
-    x, y = mollweide(theta_grid, phi_grid)
+    # a column and a row: the Newton solve runs once per latitude
+    x, y = mollweide(theta[:, None], phi[None, :])
     return HusimiGrid(theta=theta, phi=phi, q=q, x=x, y=y, integral=integral)
 
 
@@ -217,7 +217,9 @@ def mollweide(theta, phi):
 
     Latitude is pi/2 - theta, longitude phi - pi, so the map is centered on
     (theta, phi) = (pi/2, pi). The auxiliary angle t solves
-    2 t + sin 2 t = pi sin(latitude) by Newton iteration to 1e-10.
+    2 t + sin 2 t = pi sin(latitude) by Newton iteration to 1e-10. theta and
+    phi broadcast; t is solved at theta's shape, and x and y have the
+    broadcast shape.
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -234,7 +236,7 @@ def mollweide(theta, phi):
         if np.max(np.abs(step)) < 1e-10:
             break
     x = 2.0 * np.sqrt(2.0) / np.pi * lon * np.cos(t)
-    y = np.sqrt(2.0) * np.sin(t)
+    y = np.broadcast_to(np.sqrt(2.0) * np.sin(t), x.shape).copy()
     if x.ndim == 0:
         return float(x), float(y)
     return x, y

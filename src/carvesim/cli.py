@@ -193,26 +193,27 @@ def _jsonable(obj):
     return obj
 
 
-def _sibling(path: str, suffix: str) -> str:
-    if path.endswith(suffix):
-        raise ValueError(f"--out {path!r} ends in {suffix}, the suffix of its sibling file")
-    other = ".json" if suffix == ".csv" else ".csv"
-    return path.removesuffix(other) + suffix
-
-
 def _run_command(args, config: RunConfig) -> None:
     """Run the subcommand, stamp the report and table it returns, and write them.
 
     args.formats lists the subcommand's outputs, primary first. The primary
-    goes to --out, or to stdout. With --out, the other goes to the sibling
-    file with its suffix; without --out, a JSON report follows the CSV on
-    stdout and a CSV table that is not primary is not written.
+    goes to --out, or to stdout; an --out that ends in the suffix of the
+    other format is refused before anything is computed. With --out, the
+    other goes to the sibling file with its suffix; without --out, a JSON
+    report follows the CSV on stdout and a CSV table that is not primary is
+    not written.
     """
     out = config.output_path
     primary, *others = args.formats
     paths = {primary: out}
     if out:
-        paths.update({fmt: _sibling(out, "." + fmt) for fmt in others})
+        wrong = ".json" if primary == "csv" else ".csv"
+        if out.endswith(wrong):
+            raise ValueError(
+                f"--out {out!r} ends in {wrong}, but {args.command} writes {primary} there"
+            )
+        stem = out.removesuffix("." + primary)
+        paths.update({fmt: f"{stem}.{fmt}" for fmt in others})
     elif "json" in others:
         paths["json"] = None
     report, table = args.func(args, config)
@@ -318,6 +319,8 @@ def cmd_parity(args, config: RunConfig):
 
 
 def cmd_husimi(args, config: RunConfig):
+    if args.state and args.ideal:
+        raise ValueError(f"--ideal applies to the protocol output, not to --state {args.state}")
     try:
         n_theta, _, n_phi = args.resolution.partition("x")
         n_theta, n_phi = int(n_theta), int(n_phi)
@@ -358,6 +361,8 @@ def cmd_lifetime(args, config: RunConfig):
 
 
 def cmd_detect(args, config: RunConfig):
+    if args.ideal:
+        raise ValueError("detect has no ideal limit; --ideal applies to protocol runs")
     rates = load_rates(args.rates_file) if args.rates_file else DetectionRates()
     matrix = confusion_matrix(rates, config.trials, config.seed)
     stderr = np.sqrt(matrix * (1.0 - matrix) / config.trials)

@@ -26,9 +26,9 @@ from .states import (
     NullBranchError,
     RotationSpec,
     TwoAtomState,
+    _pair_unitary,
     bell_vector,
     global_rotation,
-    single_qubit_unitary,
 )
 
 
@@ -133,6 +133,16 @@ def sigma_for_lifetime(tau_us: float) -> float:
     return 1.0e3 / (2.0 * np.pi * np.sqrt(2.0) * tau_us)
 
 
+def _sqdiff(x: np.ndarray) -> np.ndarray:
+    """(x_b - x_b')^2 for every pair of basis states (b, b')."""
+    return (x[:, None] - x[None, :]) ** 2
+
+
+# dn^2 and dm^2 of wait_evolution for every coherence (b, b')
+_DN2 = _sqdiff(N_UP.astype(float))
+_DM2 = _sqdiff((ATOM1_UP - ATOM2_UP).astype(float))
+
+
 def wait_evolution(
     state: TwoAtomState, t_us: float, noise: NoiseModel | None = None
 ) -> TwoAtomState:
@@ -149,11 +159,7 @@ def wait_evolution(
     noise = noise or NoiseModel()
     wc = 2.0 * np.pi * noise.sigma_common_2pi_khz * 1e-3  # rad / us
     wd = 2.0 * np.pi * noise.sigma_diff_2pi_khz * 1e-3
-    n = N_UP.astype(float)
-    m = (ATOM1_UP - ATOM2_UP).astype(float)
-    dn = n[:, None] - n[None, :]
-    dm = m[:, None] - m[None, :]
-    decay = np.exp(-0.5 * (wc**2 * dn**2 + wd**2 * dm**2) * t_us**2)
+    decay = np.exp(-0.5 * (wc**2 * _DN2 + wd**2 * _DM2) * t_us**2)
     return TwoAtomState(state.rho * decay)
 
 
@@ -190,8 +196,8 @@ class _PulseTables:
 
     __slots__ = (
         "delta",
-        "overlap",
-        "quad",
+        "count_base",
+        "count_amp",
         "herald_mult",
         "p_no_d",
         "p_no_a",
@@ -217,25 +223,23 @@ class _PulseTables:
         # single-up branch loss (second-mirror bookkeeping)
         passive = np.sqrt(np.clip(model.loss - model.scatter, 0.0, None) * nu)
 
-        def sqdiff(x):
-            return (x[:, None] - x[None, :]) ** 2
-
         # coherent-state environment overlaps for all traced-out records: the
         # undetected d fraction, the a polarization, per-atom scattering and
         # passive loss
         log_g = -0.5 * (
-            (1.0 - eta) * sqdiff(delta)
-            + sqdiff(keep)
-            + sqdiff(u1)
-            + sqdiff(u2)
-            + sqdiff(passive)
+            (1.0 - eta) * _sqdiff(delta)
+            + _sqdiff(keep)
+            + _sqdiff(u1)
+            + _sqdiff(u2)
+            + _sqdiff(passive)
         )
         overlap = np.exp(log_g)
         quad = np.exp(-0.5 * eta * (delta[:, None] ** 2 + delta[None, :] ** 2))
-        no_click = np.exp(-0.5 * eta * sqdiff(delta))
+        no_click = np.exp(-0.5 * eta * _sqdiff(delta))
         self.delta = delta
-        self.overlap = overlap
-        self.quad = quad
+        # count_mult(n) = count_base * count_amp**n / n!
+        self.count_base = overlap * quad
+        self.count_amp = eta * np.outer(delta, delta)
         self.herald_mult = overlap * (no_click - (1.0 - dark) * quad)
         self.p_no_d = (1.0 - dark) * np.exp(-eta * delta**2)
         self.p_no_a = np.exp(-eta * (keep**2 + nu_unmatched))
@@ -244,8 +248,7 @@ class _PulseTables:
 
     def count_mult(self, n: int) -> np.ndarray:
         """Multiplier conditioned on exactly n detected d photons."""
-        amp = self.eta * np.outer(self.delta, self.delta)
-        return self.overlap * self.quad * amp**n / math.factorial(n)
+        return self.count_base * self.count_amp**n / math.factorial(n)
 
 
 def _as_model(cavity) -> ReflectionModel:
@@ -541,8 +544,7 @@ def monte_carlo_run(
     k = 0  # pulse index
     for op in ops:
         if op[0] == "rotate":
-            u = single_qubit_unitary(op[1])
-            u2 = np.kron(u, u)
+            u2 = _pair_unitary(op[1])
             states = np.einsum("ab,nbc,dc->nad", u2, states, u2.conj())
             continue
         u_count, u_dark, u_a = draws[:, 1 + 3 * k : 4 + 3 * k].T

@@ -78,11 +78,12 @@ class TwoAtomState:
         rho = np.array(rho, dtype=complex)
         if rho.shape != (4, 4):
             raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-        if not np.all(np.isfinite(rho.real)) or not np.all(np.isfinite(rho.imag)):
+        if not np.isfinite(rho).all():
             raise ValueError("density matrix contains non-finite entries")
-        if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
+        adjoint = rho.conj().T
+        if np.max(np.abs(rho - adjoint)) > HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian within 1e-12")
-        rho = 0.5 * (rho + rho.conj().T)
+        rho = 0.5 * (rho + adjoint)
         eigs = np.linalg.eigvalsh(rho)
         if eigs[0] < EIGENVALUE_FLOOR:
             raise ValueError(f"density matrix has negative eigenvalue {eigs[0]:.3e}")
@@ -154,10 +155,15 @@ def single_qubit_unitary(spec: RotationSpec) -> np.ndarray:
     return np.cos(half) * np.eye(2, dtype=complex) - 1j * np.sin(half) * n_sigma
 
 
+def _pair_unitary(spec: RotationSpec) -> np.ndarray:
+    """U x U of the rotation of spec: the products of np.kron(u, u), without its overhead."""
+    u = single_qubit_unitary(spec)
+    return (u[:, None, :, None] * u[None, :, None, :]).reshape(4, 4)
+
+
 def global_rotation(state: TwoAtomState, spec: RotationSpec) -> TwoAtomState:
     """Apply the same rotation to both atoms: rho -> (U x U) rho (U x U)^dag."""
-    u = single_qubit_unitary(spec)
-    u2 = np.kron(u, u)
+    u2 = _pair_unitary(spec)
     return TwoAtomState(u2 @ state.rho @ u2.conj().T)
 
 

@@ -16,7 +16,9 @@ from carvesim import (
     FitFailedError,
     NoiseModel,
     ParityScan,
+    ProtocolSpec,
     ReflectionModel,
+    RotationSpec,
     UnderdeterminedScanError,
     bell_fidelity,
     bell_state,
@@ -25,12 +27,14 @@ from carvesim import (
     fidelity,
     fit_parity,
     gaussian_lifetime_fit,
+    global_rotation,
     husimi_grid,
     husimi_q,
     mollweide,
     parity_closed_form,
     parity_of,
     populations,
+    run_protocol,
     symmetric_projector,
     wait_evolution,
 )
@@ -48,6 +52,17 @@ def test_operational_parity_equals_closed_form(make_state, rng):
             assert parity_of(st, phi) == pytest.approx(
                 parity_closed_form(st, phi), abs=1e-12
             )
+
+
+def test_parity_of_is_bitwise_the_rotated_state_parity():
+    # the parity read off the diagonal of a validated, rotated state
+    carved = run_protocol(ProtocolSpec()).state
+    states = [bell_state(kind) for kind in BellKind] + [carved]
+    for st in states:
+        for phi in np.linspace(0.0, 2 * np.pi, 24, endpoint=False):
+            rotated = global_rotation(st, RotationSpec(np.pi / 2 - phi, np.pi / 2))
+            d = rotated.rho.diagonal().real
+            assert parity_of(st, phi) == float(d[0] + d[3] - d[1] - d[2])
 
 
 def test_parity_of_bell_states():
@@ -182,6 +197,35 @@ def test_mollweide_landmarks():
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
     x, y = mollweide(tt, pp)
     assert np.all((x / (2 * np.sqrt(2))) ** 2 + (y / np.sqrt(2)) ** 2 <= 1 + 1e-9)
+
+
+def _mollweide_full_grid(theta, phi):
+    """Newton solve at every grid point, as husimi_grid ran it on full grids."""
+    lat = np.pi / 2.0 - theta
+    lon = phi - np.pi
+    polar = np.abs(lat) >= np.pi / 2.0 - 1e-9
+    t = np.where(polar, np.sign(lat) * np.pi / 2.0, lat.copy())
+    rhs = np.pi * np.sin(lat)
+    for _ in range(50):
+        f = 2.0 * t + np.sin(2.0 * t) - rhs
+        step = np.where(polar, 0.0, f / np.maximum(2.0 + 2.0 * np.cos(2.0 * t), 1e-12))
+        t = t - step
+        if np.max(np.abs(step)) < 1e-10:
+            break
+    return 2.0 * np.sqrt(2.0) / np.pi * lon * np.cos(t), np.sqrt(2.0) * np.sin(t)
+
+
+@pytest.mark.parametrize("n_theta, n_phi", [(60, 120), (100, 200), (7, 3)])
+def test_mollweide_per_row_is_bitwise_the_full_grid_solve(n_theta, n_phi):
+    grid = husimi_grid(bell_state(BellKind.PHI_PLUS), n_theta, n_phi)
+    shape = (n_theta, n_phi)
+    x_full, y_full = _mollweide_full_grid(
+        np.broadcast_to(grid.theta[:, None], shape), np.broadcast_to(grid.phi[None, :], shape)
+    )
+    x_row, y_row = mollweide(grid.theta[:, None], grid.phi[None, :])
+    for x, y in ((grid.x, grid.y), (x_row, y_row)):
+        assert x.shape == y.shape == shape
+        assert np.array_equal(x, x_full) and np.array_equal(y, y_full)
 
 
 def test_mollweide_equator_is_linear_in_longitude():

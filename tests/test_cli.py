@@ -151,6 +151,47 @@ def test_out_with_the_sibling_suffix_is_exit_2(argv, tmp_path, capsys, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv, wrong, right",
+    [
+        (["sweep", "--variable", "nbar", "--start", "0.1", "--stop", "0.3", "--steps", "2",
+          "--trials", "50"], "s.json", "sweep.csv"),
+        (["husimi", "--state", "psi_plus", "--resolution", "4x6"], "q.json", "husimi.csv"),
+        (["detect", "--trials", "100"], "d.csv", "detect.json"),
+    ],
+    ids=["sweep", "husimi", "detect"],
+)
+def test_out_with_the_other_format_suffix_is_exit_2(
+    argv, wrong, right, tmp_path, capsys, monkeypatch
+):
+    # s.json would hold CSV, d.csv would hold JSON; nothing is written
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", wrong]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+    assert main(argv + ["--out", right]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == [right]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["detect", "--trials", "100"], ["husimi", "--state", "psi_plus", "--resolution", "4x6"]],
+    ids=["detect", "husimi-state"],
+)
+def test_ideal_is_rejected_where_it_changes_nothing(argv, tmp_path, capsys, monkeypatch):
+    # these runs never simulate a protocol, so "ideal": true would be false
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--ideal", "--out", "x"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+    assert main(argv) == 0
+
+
+def test_husimi_of_the_protocol_output_takes_ideal(capsys):
+    assert main(["husimi", "--resolution", "4x6", "--ideal"]) == 0
+    assert "# ideal: true" in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize("points", ["-1", "0", "1", "2"])
 def test_lifetime_too_few_points_is_exit_2(points, capsys):
     assert main(["lifetime", "--points", points]) == 2

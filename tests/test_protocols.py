@@ -13,6 +13,7 @@ from carvesim import (
     PulseConfig,
     ReflectionModel,
     RotationSpec,
+    TwoAtomState,
     bell_state,
     carve_step,
     double_carving,
@@ -28,6 +29,7 @@ from carvesim import (
     single_carving_f_ideal,
     wait_evolution,
 )
+from carvesim.states import ATOM1_UP, ATOM2_UP, N_UP
 
 IDEAL = ReflectionModel.ideal()
 NOISELESS = PulseConfig(nbar=0.4, dark_prob=0.0, det_eff=1.0, mode_match=1.0)
@@ -162,6 +164,21 @@ def test_wait_evolution_dephases_selected_coherences():
     np.testing.assert_allclose(
         phi.rho.diagonal(), bell_state(BellKind.PHI_MINUS).rho.diagonal(), atol=1e-14
     )
+
+
+def test_wait_evolution_is_bitwise_the_inline_formula():
+    carved = run_protocol(ProtocolSpec()).state
+    n = N_UP.astype(float)
+    m = (ATOM1_UP - ATOM2_UP).astype(float)
+    dn = n[:, None] - n[None, :]
+    dm = m[:, None] - m[None, :]
+    for noise in (NoiseModel(), NoiseModel(2.0, 0.7)):
+        wc = 2.0 * np.pi * noise.sigma_common_2pi_khz * 1e-3
+        wd = 2.0 * np.pi * noise.sigma_diff_2pi_khz * 1e-3
+        for t in (0.0, 33.3, 300.0):
+            decay = np.exp(-0.5 * (wc**2 * dn**2 + wd**2 * dm**2) * t**2)
+            expected = TwoAtomState(carved.rho * decay).rho
+            assert np.array_equal(wait_evolution(carved, t, noise).rho, expected)
 
 
 def test_sigma_for_lifetime_roundtrip():

@@ -14,7 +14,14 @@ from carvesim import (
     project,
     renormalize,
 )
-from carvesim.states import ATOM1_UP, ATOM2_UP, BASIS_LABELS, N_UP, single_qubit_unitary
+from carvesim.states import (
+    ATOM1_UP,
+    ATOM2_UP,
+    BASIS_LABELS,
+    N_UP,
+    _pair_unitary,
+    single_qubit_unitary,
+)
 
 SQ2 = np.sqrt(2.0)
 
@@ -53,6 +60,16 @@ def test_state_validation_rejects_bad_input():
         TwoAtomState(np.diag([np.nan, 1, 0, 0]))
 
 
+@pytest.mark.parametrize(
+    "bad", [complex(np.nan, 0), complex(0, np.nan), complex(np.inf, 0), complex(0, -np.inf)]
+)
+def test_state_rejects_a_non_finite_real_or_imaginary_part(bad):
+    rho = np.eye(4, dtype=complex) / 4
+    rho[1, 2] = rho[2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        TwoAtomState(rho)
+
+
 def test_state_accepts_subnormalized_but_not_overnormalized():
     TwoAtomState(np.diag([0.2, 0.1, 0.0, 0.0]))
     with pytest.raises(ValueError, match="trace"):
@@ -84,6 +101,16 @@ def test_named_axes_match_their_azimuths():
         u_name = single_qubit_unitary(RotationSpec(name, 0.8))
         u_az = single_qubit_unitary(RotationSpec(azimuth, 0.8))
         np.testing.assert_allclose(u_name, u_az, atol=1e-15)
+
+
+@pytest.mark.parametrize("axis", ["x", "y", "z", 0.7])
+def test_pair_unitary_is_bitwise_kron(axis, make_state):
+    spec = RotationSpec(axis, 0.8)
+    u2 = np.kron(single_qubit_unitary(spec), single_qubit_unitary(spec))
+    assert np.array_equal(_pair_unitary(spec), u2)
+    st = make_state()
+    expected = TwoAtomState(u2 @ st.rho @ u2.conj().T).rho
+    assert np.array_equal(global_rotation(st, spec).rho, expected)
 
 
 def test_half_pulse_from_down_down():
