@@ -58,7 +58,6 @@ class ParityScan:
 
     phases: np.ndarray
     parities: np.ndarray
-    errors: np.ndarray | None = None
 
     def __post_init__(self):
         phases = np.asarray(self.phases, dtype=float)
@@ -67,14 +66,8 @@ class ParityScan:
             raise ValueError("phases and parities must be 1d arrays of equal length")
         if np.any(np.diff(phases) <= 0):
             raise ValueError("phases must be strictly increasing")
-        errors = self.errors
-        if errors is not None:
-            errors = np.asarray(errors, dtype=float)
-            if errors.shape != phases.shape or np.any(errors <= 0):
-                raise ValueError("errors must be positive and match phases")
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "parities", parities)
-        object.__setattr__(self, "errors", errors)
 
     @classmethod
     def of_state(cls, state: TwoAtomState, n_phases: int = 16) -> "ParityScan":
@@ -109,9 +102,6 @@ def fit_parity(scan: ParityScan) -> CoherenceFit:
         [np.ones_like(phases), np.sin(2.0 * phases), np.cos(2.0 * phases)]
     )
     target = scan.parities
-    if scan.errors is not None:
-        design = design / scan.errors[:, None]
-        target = target / scan.errors
     if len(phases) < 3 or np.linalg.matrix_rank(design, tol=1e-10) < 3:
         raise UnderdeterminedScanError(
             "underdetermined scan: need at least 3 samples at 3 distinct phases mod pi"

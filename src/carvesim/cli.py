@@ -53,13 +53,6 @@ from .protocols import (
 )
 from .states import BellKind, bell_state, fidelity
 
-_TARGETS = {
-    "psi_plus": BellKind.PSI_PLUS,
-    "psi_minus": BellKind.PSI_MINUS,
-    "phi_plus": BellKind.PHI_PLUS,
-    "phi_minus": BellKind.PHI_MINUS,
-}
-
 _HUSIMI_STATES = ("psi_plus", "psi_minus", "phi_plus", "phi_minus", "down_down")
 
 
@@ -109,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_husimi, formats=("csv",))
 
     p = sub.add_parser("lifetime", parents=[common], help="dephasing curve and tau fit")
-    p.add_argument("--target", choices=sorted(_TARGETS), default="psi_plus")
+    p.add_argument("--target", choices=sorted(k.value for k in BellKind), default="psi_plus")
     p.add_argument("--t-max", type=float, default=300.0, help="last wait time in us")
     p.add_argument("--points", type=int, default=40)
     p.set_defaults(func=cmd_lifetime, formats=("csv", "json"))
@@ -122,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_protocol_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scheme", choices=("double", "single"), default="double")
-    p.add_argument("--target", choices=sorted(_TARGETS), default="psi_plus")
+    p.add_argument("--target", choices=sorted(k.value for k in BellKind), default="psi_plus")
     p.add_argument(
         "--alpha",
         type=float,
@@ -139,7 +132,7 @@ def _resolve_config(args) -> RunConfig:
 
 def _inputs(args, config: RunConfig):
     """(spec, pulse, model, noise) of a run, with the --ideal override applied."""
-    target = _TARGETS[args.target]
+    target = BellKind(args.target)
     scheme = getattr(args, "scheme", "double")
     prep = config.prep
     if scheme == "double" and target is BellKind.PSI_MINUS and prep.kind != "antiparallel":
@@ -244,7 +237,7 @@ def cmd_protocol(args, config: RunConfig):
         "target": args.target,
         "exact": {
             "fidelity": {
-                name: fidelity(result.state, kind) for name, kind in _TARGETS.items()
+                kind.value: fidelity(result.state, kind) for kind in BellKind
             },
             "success_prob": result.success_prob,
             "efficiency": result.efficiency,
@@ -329,7 +322,7 @@ def cmd_husimi(args, config: RunConfig):
     if args.state == "down_down":
         state = prepare(PreparationSpec("pure_dd"))
     elif args.state:
-        state = bell_state(_TARGETS[args.state])
+        state = bell_state(BellKind(args.state))
     else:
         spec, pulse, model, _ = _inputs(args, config)
         state = run_protocol(spec, pulse, model).state

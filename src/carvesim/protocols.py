@@ -40,6 +40,8 @@ PREP_KINDS = ("down_down", "antiparallel", "pure_uu", "pure_ud", "pure_du", "pur
 
 _PREP_DEFAULT_FIDELITY = {"down_down": 0.99, "antiparallel": 0.86}
 
+_MAX_FLOAT_FACTORIAL = 170  # the largest n whose n! is below the float maximum
+
 
 @dataclass(frozen=True)
 class PulseConfig:
@@ -170,8 +172,8 @@ class HeraldOutcome:
     herald_prob is the unconditional probability of a d click (including dark
     counts); d_fraction is the probability that a detection event was a d
     event, i.e. herald_prob divided by the probability of any click at all.
-    branch_log maps the number of detected d photons (0 = dark count only) to
-    its relative weight within the herald.
+    branch_log maps the number of detected d photons, 0 to the pulse's n_max
+    (0 = dark count only), to its relative weight within the herald.
     """
 
     state: TwoAtomState
@@ -186,22 +188,23 @@ class HeraldOutcome:
         if not -1e-12 <= self.d_fraction <= 1 + 1e-12:
             raise ValueError("d_fraction out of [0, 1]")
 
-    @property
-    def no_herald_prob(self) -> float:
-        return 1.0 - self.herald_prob
-
 
 class _PulseTables:
-    """Precomputed per-branch record amplitudes and Schur multipliers."""
+    """Precomputed per-branch record amplitudes and Schur multipliers.
+
+    count[n] is the multiplier conditioned on exactly n detected d photons,
+    for n up to n_max, where the largest branch's Poisson tail is 12 sigma
+    out; pmf[b, n] is its diagonal, the photon-count distribution of basis
+    state b.
+    """
 
     __slots__ = (
-        "delta",
-        "count_base",
-        "count_amp",
+        "count",
+        "pmf",
+        "n_max",
         "herald_mult",
         "p_no_d",
         "p_no_a",
-        "eta",
         "dark",
     )
 
@@ -236,41 +239,50 @@ class _PulseTables:
         overlap = np.exp(log_g)
         quad = np.exp(-0.5 * eta * (delta[:, None] ** 2 + delta[None, :] ** 2))
         no_click = np.exp(-0.5 * eta * _sqdiff(delta))
-        self.delta = delta
-        # count_mult(n) = count_base * count_amp**n / n!
-        self.count_base = overlap * quad
-        self.count_amp = eta * np.outer(delta, delta)
+
+        max_rate = float(np.max(eta * delta**2))
+        n_max = max(8, int(math.ceil(max_rate + 12.0 * math.sqrt(max_rate + 1.0))))
+        # count[n] = overlap * quad * amp**n / n!, one n at a time so the MC's
+        # records keep their bits; once amp**n or n! leaves the float range,
+        # the rows go on by the recursion count[n] = count[n - 1] * amp / n
+        amp = eta * np.outer(delta, delta)
+        rows = [overlap * quad]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(1, n_max + 1):
+                row = None
+                if n <= _MAX_FLOAT_FACTORIAL:
+                    row = rows[0] * amp**n / math.factorial(n)
+                if row is None or not np.isfinite(row).all():
+                    row = rows[-1] * amp / n
+                rows.append(row)
+        self.count = np.stack(rows)
+        self.pmf = np.diagonal(self.count, axis1=1, axis2=2).T.copy()
+        self.n_max = n_max
         self.herald_mult = overlap * (no_click - (1.0 - dark) * quad)
         self.p_no_d = (1.0 - dark) * np.exp(-eta * delta**2)
         self.p_no_a = np.exp(-eta * (keep**2 + nu_unmatched))
-        self.eta = eta
         self.dark = dark
 
-    def count_mult(self, n: int) -> np.ndarray:
-        """Multiplier conditioned on exactly n detected d photons."""
-        return self.count_base * self.count_amp**n / math.factorial(n)
 
-
-def _as_model(cavity) -> ReflectionModel:
+def _as_model(cavity: ReflectionModel | None) -> ReflectionModel:
     if cavity is None:
         return ReflectionModel.from_params(CavityParams())
-    if isinstance(cavity, CavityParams):
-        return ReflectionModel.from_params(cavity)
     if isinstance(cavity, ReflectionModel):
         return cavity
-    raise TypeError(f"expected CavityParams or ReflectionModel, got {type(cavity)!r}")
+    raise TypeError(f"expected a ReflectionModel or None, got {type(cavity)!r}")
 
 
 def carve_step(
     state: TwoAtomState,
     pulse: PulseConfig | None = None,
-    cavity: CavityParams | ReflectionModel | None = None,
+    cavity: ReflectionModel | None = None,
 ) -> HeraldOutcome:
     """One carving pulse conditioned on a d-detector herald.
 
     The returned state is exact: the coherent pulse is treated photon by
     photon, all undetected records are traced out, and the state is
-    conditioned on at least one detected d photon or a dark count.
+    conditioned on at least one detected d photon or a dark count. cavity is
+    the ReflectionModel of the cavity, None for the default CavityParams().
     """
     if abs(state.trace_weight - 1.0) > 1e-9:
         raise ValueError("carve_step needs a normalized input state")
@@ -287,23 +299,13 @@ def carve_step(
     any_prob = float(diag @ (1.0 - tables.p_no_d * tables.p_no_a))
     d_fraction = herald_prob / any_prob if any_prob > 0 else 1.0
 
-    branch_log: dict[int, float] = {}
-    branch_log[0] = tables.dark * float(diag @ tables.count_mult(0).diagonal()) / herald_prob
-    n = 1
-    logged = branch_log[0] * herald_prob
-    while n < 80:
-        w = float(diag @ tables.count_mult(n).diagonal())
-        branch_log[n] = w / herald_prob
-        logged += w
-        if herald_prob - logged < 1e-14:
-            break
-        n += 1
-
+    weights = diag @ tables.pmf
+    weights[0] *= tables.dark
     return HeraldOutcome(
         state=heralded,
         herald_prob=herald_prob,
         d_fraction=d_fraction,
-        branch_log=branch_log,
+        branch_log=dict(enumerate((weights / herald_prob).tolist())),
         any_prob=any_prob,
     )
 
@@ -337,14 +339,15 @@ class ProtocolResult:
 def double_carving(
     prep: PreparationSpec | None = None,
     pulse: PulseConfig | None = None,
-    cavity: CavityParams | ReflectionModel | None = None,
+    cavity: ReflectionModel | None = None,
     final_rotation: RotationSpec | None = None,
 ) -> ProtocolResult:
     """Two-pulse carving: R_y(pi/2), carve, R_y(pi), carve, optional rotation.
 
     From down-down preparation the sequence heralds Psi+, which the final
     rotation can convert into Phi- (R_y(pi/2)) or Phi+ (R_x(pi/2)); from the
-    antiparallel mixture it heralds the singlet Psi-. Reference for run_protocol.
+    antiparallel mixture it heralds the singlet Psi-. The paper-named entry
+    point: it runs the same op list as run_protocol(ProtocolSpec("double")).
     """
     return _execute(ProtocolSpec("double", prep=prep), pulse, cavity, final_rotation)
 
@@ -362,7 +365,7 @@ def single_carving_f_ideal(alpha: float) -> float:
 def single_carving(
     alpha: float,
     pulse: PulseConfig | None = None,
-    cavity: CavityParams | ReflectionModel | None = None,
+    cavity: ReflectionModel | None = None,
     final_rotation: RotationSpec | None = None,
 ) -> ProtocolResult:
     """One-pulse carving after a weak R_y(alpha) excitation from down-down.
@@ -370,7 +373,8 @@ def single_carving(
     Carving away the down-down component of the product state leaves a state
     close to Psi+ (exactly Psi+ as alpha -> 0) at herald efficiency
     eta_ideal; the efficiency/fidelity trade-off is the point of this scheme.
-    Reference for run_protocol on ProtocolSpec("single", alpha=alpha).
+    The paper-named entry point: it runs the same op list as
+    run_protocol(ProtocolSpec("single", alpha=alpha)).
     """
     return _execute(ProtocolSpec("single", alpha=alpha), pulse, cavity, final_rotation)
 
@@ -438,18 +442,19 @@ def _build_ops(spec: ProtocolSpec, final: RotationSpec | None) -> tuple:
 def _execute(
     spec: ProtocolSpec,
     pulse: PulseConfig | None,
-    cavity: CavityParams | ReflectionModel | None,
+    cavity: ReflectionModel | None,
     final: RotationSpec | None,
 ) -> ProtocolResult:
     """Exact channel along the op list; the state is the last step's, rotated."""
     prep, ops = _build_ops(spec, final)
+    model = _as_model(cavity)
     state = prepare(prep)
     steps = []
     for op in ops:
         if op[0] == "rotate":
             state = global_rotation(state, op[1])
         else:
-            steps.append(carve_step(state, pulse, cavity))
+            steps.append(carve_step(state, pulse, model))
             state = steps[-1].state
     ideal = {}
     if spec.scheme == "single":
@@ -469,9 +474,13 @@ def _execute(
 def run_protocol(
     spec: ProtocolSpec,
     pulse: PulseConfig | None = None,
-    cavity: CavityParams | ReflectionModel | None = None,
+    cavity: ReflectionModel | None = None,
 ) -> ProtocolResult:
-    """Exact-channel evaluation of a protocol descriptor."""
+    """Exact-channel evaluation of a protocol descriptor.
+
+    cavity is a ReflectionModel, or None for the default CavityParams(); it
+    is resolved once for all pulses of the run.
+    """
     return _execute(spec, pulse, cavity, final_rotation_for(spec.target))
 
 
@@ -503,7 +512,7 @@ def monte_carlo_run(
     trials: int,
     seed: int,
     pulse: PulseConfig | None = None,
-    cavity: CavityParams | ReflectionModel | None = None,
+    cavity: ReflectionModel | None = None,
     workers: int | None = None,
 ) -> MonteCarloResult:
     """Trajectory simulation of a protocol, deterministic in (seed, trial).
@@ -514,22 +523,25 @@ def monte_carlo_run(
     those prefix states, so each reached prefix is rotated and carved once
     for all trials that share it, and every draw is compared with values
     looked up through node. workers is accepted and ignored; it no longer
-    splits the work, and the records never depended on it.
+    splits the work, and the records never depended on it. It raises
+    OverflowError for a pulse that needs photon counts past n = 170.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     pulse = pulse or PulseConfig()
-    model = _as_model(cavity)
-    tables = _PulseTables(model, pulse)
+    tables = _PulseTables(_as_model(cavity), pulse)
+    if tables.n_max > _MAX_FLOAT_FACTORIAL:
+        # the MC keeps the range it had while its count rows divided by n! as
+        # a float; lifting it changes what an nbar = 800 sweep reports
+        raise OverflowError(
+            f"monte_carlo_run counts photons up to n = {_MAX_FLOAT_FACTORIAL}; "
+            f"this pulse needs n_max = {tables.n_max} (lower nbar)"
+        )
     prep, ops = _build_ops(protocol, final_rotation_for(protocol.target))
     n_pulses = protocol.n_pulses
 
     diag0 = prepare(prep).rho.diagonal().real
-    max_rate = float(np.max(tables.eta * tables.delta**2))
-    n_max = max(8, int(math.ceil(max_rate + 12.0 * math.sqrt(max_rate + 1.0))))
-    width = n_max + 1
-    t_stack = np.stack([tables.count_mult(n) for n in np.arange(width)])
-    pmf_d = t_stack[:, np.arange(4), np.arange(4)].T.real.copy()  # (4, n_max + 1)
+    width = tables.n_max + 1
     target_vec = bell_vector(protocol.target)
 
     gen = np.random.Generator(np.random.Philox(key=seed))
@@ -549,8 +561,8 @@ def monte_carlo_run(
             continue
         u_count, u_dark, u_a = draws[:, 1 + 3 * k : 4 + 3 * k].T
         diag = np.einsum("nii->ni", states).real.clip(min=0.0)
-        cdf = np.cumsum(diag @ pmf_d, axis=1)  # (nodes, n_max + 1)
-        nd = np.sum(cdf[node] < u_count[:, None], axis=1).clip(0, n_max)
+        cdf = np.cumsum(diag @ tables.pmf, axis=1)  # (nodes, n_max + 1)
+        nd = np.sum(cdf[node] < u_count[:, None], axis=1).clip(0, tables.n_max)
         herald = (nd >= 1) | (u_dark < tables.dark)
         # number the reached (node, nd) pairs with a presence mask, without
         # sorting; they become the next stack of prefix states
@@ -559,13 +571,13 @@ def monte_carlo_run(
         present[pair] = True
         node = (np.cumsum(present) - 1)[pair]
         parent, count = np.divmod(np.flatnonzero(present), width)
-        w = diag[parent] * pmf_d[:, count].T  # branch weights given the d count
+        w = diag[parent] * tables.pmf[:, count].T  # branch weights given the d count
         wsum = w.sum(axis=1)
         p_no_a = (w @ tables.p_no_a) / np.where(wsum > 0, wsum, 1.0)
         heralds[:, k] = herald
         any_event[:, k] = herald | (u_a < 1.0 - p_no_a[node])
         n_d[:, k] = nd
-        states = states[parent] * t_stack[count]
+        states = states[parent] * tables.count[count]
         tr = np.einsum("nii->n", states).real
         states = states / np.maximum(tr, 1e-300)[:, None, None]
         k += 1

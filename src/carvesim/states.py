@@ -180,28 +180,11 @@ def populations(state: TwoAtomState) -> tuple[float, float, float]:
     return float(d[0]), float(d[3]), float(d[1] + d[2])
 
 
-def _pure_vector(target) -> np.ndarray:
-    if isinstance(target, BellKind):
-        return bell_vector(target)
-    if isinstance(target, TwoAtomState):
-        if abs(target.trace_weight - 1.0) > 1e-9:
-            raise ValueError("fidelity target must be normalized")
-        purity = np.trace(target.rho @ target.rho).real
-        if abs(purity - 1.0) > 1e-9:
-            raise ValueError("fidelity target must be a pure state")
-        eigs, vecs = np.linalg.eigh(target.rho)
-        return vecs[:, -1]
-    vec = np.asarray(target, dtype=complex)
-    if vec.shape != (4,):
-        raise ValueError("fidelity target must be a pure state or 4-vector")
-    return vec / np.linalg.norm(vec)
-
-
-def fidelity(state: TwoAtomState, target) -> float:
-    """Overlap <psi|rho|psi> with a pure target state."""
+def fidelity(state: TwoAtomState, target: BellKind) -> float:
+    """Overlap <psi|rho|psi> with a Bell target; other targets raise ValueError."""
     if abs(state.trace_weight - 1.0) > 1e-9:
         raise ValueError("fidelity needs a normalized state; renormalize first")
-    v = _pure_vector(target)
+    v = bell_vector(target)
     return float(np.real(v.conj() @ state.rho @ v))
 
 

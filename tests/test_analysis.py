@@ -85,14 +85,6 @@ def test_fit_recovers_coherences(make_state):
     assert fit.residual < 1e-10
 
 
-def test_fit_weights_are_honored(make_state):
-    st = make_state()
-    scan = ParityScan.of_state(st, 12)
-    noisy = ParityScan(scan.phases, scan.parities, errors=np.full(12, 0.05))
-    fit = fit_parity(noisy)
-    assert fit.re_updn_dnup == pytest.approx(st.rho[1, 2].real, abs=1e-10)
-
-
 def test_underdetermined_scan_raises():
     # phases 0 and pi alias under the 2-phi harmonics
     with pytest.raises(UnderdeterminedScanError):
@@ -102,8 +94,6 @@ def test_underdetermined_scan_raises():
 def test_scan_validation():
     with pytest.raises(ValueError):
         ParityScan(np.array([0.0, 0.0, 1.0]), np.zeros(3))
-    with pytest.raises(ValueError):
-        ParityScan(np.array([0.0, 1.0, 2.0]), np.zeros(3), errors=np.zeros(3))
 
 
 def test_unphysical_fit_rejected():

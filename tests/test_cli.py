@@ -113,6 +113,17 @@ def test_parity_outputs(tmp_path, capsys):
     assert len(data) == 12
 
 
+@pytest.mark.parametrize("command", ["parity", "husimi"])
+def test_exact_only_commands_run_past_the_float_range_of_n_factorial(command, tmp_path, capsys):
+    # nbar = 400 needs photon counts up to n = 205; the exact channel has no
+    # limit there, only the Monte Carlo does
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("pulse.nbar = 400\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "out.csv").read_text()
+
+
 def test_husimi_named_state(tmp_path):
     out = tmp_path / "q.csv"
     code = main(["husimi", "--state", "phi_minus", "--resolution", "10x20", "--out", str(out)])

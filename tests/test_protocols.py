@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from carvesim import (
     carve_step,
     double_carving,
     fidelity,
+    global_rotation,
     monte_carlo_run,
     prepare,
     project,
@@ -29,6 +31,7 @@ from carvesim import (
     single_carving_f_ideal,
     wait_evolution,
 )
+from carvesim.protocols import _PulseTables
 from carvesim.states import ATOM1_UP, ATOM2_UP, N_UP
 
 IDEAL = ReflectionModel.ideal()
@@ -104,13 +107,106 @@ def test_carve_step_probability_accounting():
     )
     assert 0 < out.herald_prob < out.any_prob < 1
     assert out.d_fraction == pytest.approx(out.herald_prob / out.any_prob)
-    assert out.no_herald_prob == pytest.approx(1.0 - out.herald_prob)
     # branch log covers the herald: dark-only weight plus detected-count tail
     assert sum(out.branch_log.values()) == pytest.approx(1.0, abs=1e-10)
     assert out.branch_log[0] == pytest.approx(
-        PulseConfig().dark_prob * out.no_herald_prob / ((1 - PulseConfig().dark_prob) * out.herald_prob),
+        PulseConfig().dark_prob * (1 - out.herald_prob) / ((1 - PulseConfig().dark_prob) * out.herald_prob),
         rel=1e-6,
     )
+
+
+def test_count_table_is_bitwise_the_per_n_expression():
+    """count[n] equals overlap * quad * amp**n / n!, evaluated one n at a time,
+    wherever that expression is a finite float."""
+    rng = np.random.default_rng(11)
+    compared = 0
+    for _ in range(300):
+        kappa = rng.uniform(0.5, 10.0)
+        model = ReflectionModel.from_params(
+            CavityParams(
+                g_2pi_mhz=rng.uniform(0.0, 20.0),
+                kappa_2pi_mhz=kappa,
+                kappa_out_2pi_mhz=kappa * rng.uniform(0.05, 1.0),
+                gamma_2pi_mhz=rng.uniform(0.5, 10.0),
+            )
+        )
+        pulse = PulseConfig(
+            nbar=300.0 * rng.random() ** 3,
+            dark_prob=rng.uniform(0.0, 0.2),
+            det_eff=rng.uniform(0.05, 1.0),
+            mode_match=rng.uniform(0.05, 1.0),
+        )
+        delta = model.d_amp * np.sqrt(pulse.nbar * pulse.mode_match)
+        amp = pulse.det_eff * np.outer(delta, delta)
+        rate = float(np.max(pulse.det_eff * delta**2))
+        n_max = max(8, int(np.ceil(rate + 12.0 * np.sqrt(rate + 1.0))))
+        tables = _PulseTables(model, pulse)
+        assert tables.n_max == n_max
+        assert tables.count.shape == (n_max + 1, 4, 4)
+        assert np.isfinite(tables.count).all()
+        base = tables.count[0]  # overlap * quad, since amp**0 / 0! is exactly 1
+        np.testing.assert_allclose(base.diagonal(), np.exp(-pulse.det_eff * delta**2), rtol=1e-15)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(min(n_max, 170) + 1):
+                oracle = base * amp**n / math.factorial(n)
+                if np.isfinite(oracle).all():
+                    np.testing.assert_array_equal(tables.count[n], oracle)
+                    compared += 1
+        np.testing.assert_array_equal(
+            tables.pmf, tables.count[:, np.arange(4), np.arange(4)].T
+        )
+    assert compared > 5000
+
+
+@pytest.mark.parametrize("nbar", [300.0, 305.0, 400.0, 800.0])
+def test_count_table_sums_to_the_unconditional_multiplier(nbar):
+    # past n = 170 (n!) or near it (amp**n) the per-n expression leaves the
+    # float range; the rows must stay finite and still sum over n to
+    # overlap * no_click = herald_mult + (1 - dark) * count[0]
+    pulse = PulseConfig(nbar=nbar)
+    tables = _PulseTables(ReflectionModel.from_params(), pulse)
+    assert np.isfinite(tables.count).all()
+    np.testing.assert_allclose(
+        tables.count.sum(axis=0),
+        tables.herald_mult + (1.0 - pulse.dark_prob) * tables.count[0],
+        rtol=0,
+        atol=1e-12,
+    )
+    np.testing.assert_allclose(tables.pmf.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("nbar", [300.0, 305.0, 400.0])
+def test_branch_log_covers_the_herald_at_large_nbar(nbar):
+    pulse = PulseConfig(nbar=nbar)
+    state = global_rotation(prepare(PreparationSpec("down_down")), RotationSpec("y", np.pi / 2))
+    out = carve_step(state, pulse)
+    weights = np.array(list(out.branch_log.values()))
+    assert np.isfinite(weights).all()
+    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+    n_max = _PulseTables(ReflectionModel.from_params(), pulse).n_max
+    assert list(out.branch_log) == list(range(n_max + 1))
+
+
+def test_monte_carlo_stops_where_n_factorial_leaves_the_float_range():
+    spec = ProtocolSpec("double", BellKind.PSI_PLUS)
+    with pytest.raises(OverflowError, match="n_max = 205"):
+        monte_carlo_run(spec, 10, 1, PulseConfig(nbar=400.0))
+
+
+def test_run_protocol_builds_the_reflection_model_once(monkeypatch):
+    calls = []
+    build = ReflectionModel.from_params.__func__
+
+    def counted(cls, params=None):
+        calls.append(params)
+        return build(cls, params)
+
+    monkeypatch.setattr(ReflectionModel, "from_params", classmethod(counted))
+    spec = ProtocolSpec("double", BellKind.PSI_PLUS)
+    run_protocol(spec, PulseConfig())
+    assert len(calls) == 1
+    run_protocol(spec, PulseConfig(), IDEAL)
+    assert len(calls) == 1
 
 
 def test_carve_step_requires_normalized_state():

@@ -179,17 +179,12 @@ def test_populations_requires_normalized_state():
         populations(TwoAtomState(np.diag([0.25, 0.25, 0.0, 0.0])))
 
 
-def test_fidelity_accepts_kind_vector_and_pure_state(make_state):
+def test_fidelity_rejects_a_target_that_is_not_a_bell_kind(make_state):
     st = make_state()
     kind = BellKind.PSI_PLUS
-    f = fidelity(st, kind)
-    assert f == pytest.approx(fidelity(st, bell_vector(kind)))
-    assert f == pytest.approx(fidelity(st, bell_state(kind)))
-
-
-def test_fidelity_rejects_mixed_target(make_state):
-    with pytest.raises(ValueError):
-        fidelity(bell_state(BellKind.PSI_PLUS), make_state(rank=4))
+    for target in (bell_vector(kind), bell_state(kind), make_state(rank=4), "psi_plus"):
+        with pytest.raises(ValueError):
+            fidelity(st, target)
 
 
 def test_project_keeps_only_requested_labels():
