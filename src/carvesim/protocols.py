@@ -507,6 +507,24 @@ class MonteCarloResult:
     records: dict[str, np.ndarray]
 
 
+def _photon_counts(cdf: np.ndarray, node: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """How many entries of cdf[node[t]] lie below u[t], for each trial t.
+
+    Each cdf row is a cumsum of nonnegative terms, so it never decreases, and
+    the count is searchsorted(side="left") on the row: the same comparisons
+    on the same floats as comparing u with the whole row. Every trial tests
+    column 0; the trials past it are grouped by node with one stable argsort
+    and searched one node at a time, so no (trials, row width) array forms.
+    """
+    counts = np.zeros(len(u), dtype=np.int64)
+    past = np.flatnonzero(cdf[node, 0] < u)
+    order = past[np.argsort(node[past], kind="stable")]
+    for group in np.split(order, np.flatnonzero(np.diff(node[order])) + 1):
+        if group.size:
+            counts[group] = np.searchsorted(cdf[node[group[0]]], u[group])
+    return counts
+
+
 def monte_carlo_run(
     protocol: ProtocolSpec,
     trials: int,
@@ -521,10 +539,12 @@ def monte_carlo_run(
     trial's state depends only on its record so far: the initial basis
     state, then n_d for each pulse. node indexes each trial into a stack of
     those prefix states, so each reached prefix is rotated and carved once
-    for all trials that share it, and every draw is compared with values
-    looked up through node. workers is accepted and ignored; it no longer
-    splits the work, and the records never depended on it. It raises
-    OverflowError for a pulse that needs photon counts past n = 170.
+    for all trials that share it. Each count draw is tested against column
+    0 of its node's cdf row, and only the trials past it are searched, one
+    reached node at a time (_photon_counts). workers is accepted and
+    ignored; it no longer splits the work, and the records never depended
+    on it. It raises OverflowError for a pulse that needs photon counts
+    past n = 170.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -547,7 +567,7 @@ def monte_carlo_run(
     gen = np.random.Generator(np.random.Philox(key=seed))
     draws = gen.random((trials, 1 + 3 * n_pulses))
 
-    node = np.sum(np.cumsum(diag0)[None, :] < draws[:, 0][:, None], axis=1).clip(0, 3)
+    node = np.searchsorted(np.cumsum(diag0), draws[:, 0]).clip(0, 3)
     states = np.zeros((4, 4, 4), dtype=complex)
     states[np.arange(4), np.arange(4), np.arange(4)] = 1.0
     heralds = np.zeros((trials, n_pulses), dtype=bool)
@@ -562,7 +582,7 @@ def monte_carlo_run(
         u_count, u_dark, u_a = draws[:, 1 + 3 * k : 4 + 3 * k].T
         diag = np.einsum("nii->ni", states).real.clip(min=0.0)
         cdf = np.cumsum(diag @ tables.pmf, axis=1)  # (nodes, n_max + 1)
-        nd = np.sum(cdf[node] < u_count[:, None], axis=1).clip(0, tables.n_max)
+        nd = _photon_counts(cdf, node, u_count).clip(0, tables.n_max)
         herald = (nd >= 1) | (u_dark < tables.dark)
         # number the reached (node, nd) pairs with a presence mask, without
         # sorting; they become the next stack of prefix states

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -442,13 +443,32 @@ PINNED_RECORDS = [
         },
         "0.49524522896636997", "0.0004829822415825593",
     ),
+    # computed with the record-prefix engine while it still compared each
+    # count draw with its node's whole cdf row; at nbar = 250 most trials
+    # draw a count and hundreds of prefix nodes are reached
+    (
+        ProtocolSpec("double", BellKind.PSI_PLUS), 250, PulseConfig(nbar=250.0),
+        {
+            "herald": "f49e5f7670e288516d82262a5465053281c288fa7ac683d45db56546d7005531",
+            "any_event": "fb67091504b666f393f1530f351a3fa5ae5168228b9aa06dcce5835be0402356",
+            "n_d": "278076f78f342d5bfc51b219b2ca04b3d61c9bfe546892d3a7ffc4ff7c194a55",
+            "fidelity": "1465d9d5e6e4c56324a6c4290836a06dd3ba5d7a378ee3099a1114456dbd3b14",
+        },
+        "0.4941106601999406", "0.0005367125321665498",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "spec, seed, pulse, digests, mean, stderr",
     PINNED_RECORDS,
-    ids=["double-psi_plus-77", "double-psi_minus-9100", "single-phi_minus-9", "double-nbar30-2024"],
+    ids=[
+        "double-psi_plus-77",
+        "double-psi_minus-9100",
+        "single-phi_minus-9",
+        "double-nbar30-2024",
+        "double-nbar250-250",
+    ],
 )
 def test_monte_carlo_records_are_pinned(spec, seed, pulse, digests, mean, stderr):
     mc = monte_carlo_run(spec, 20000, seed, pulse)
@@ -499,3 +519,18 @@ def test_monte_carlo_records_shapes():
     assert mc.step_reached[0] == 1000
     assert mc.step_reached[1] == int(mc.records["herald"][:, 0].sum())
     assert mc.heralded == int(mc.records["herald"].all(axis=1).sum())
+
+
+def test_monte_carlo_memory_does_not_grow_with_the_count_range():
+    # a cdf row has n_max + 1 = 168 columns at nbar = 300, so gathering one
+    # row per trial would take 27 MB; the call itself needs about 3 MiB
+    spec = ProtocolSpec("double", BellKind.PSI_PLUS)
+    pulse = PulseConfig(nbar=300.0)
+    monte_carlo_run(spec, 20000, 5, pulse)
+    tracemalloc.start()
+    try:
+        monte_carlo_run(spec, 20000, 5, pulse)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

@@ -10,8 +10,8 @@ record runs `python3 perfbench/run.py --workload W --seed S --seconds 25
 run at a time, and writes BENCH_<LABEL>.json at the root: per workload the
 median [Q1, Q3] of each end-to-end metric, the seeds, the failed and
 attempted op counts, whether every check passed, the src digest and the host
-line (Python, numpy, scipy, nproc, BLAS threads). A run takes about 35 s, so
-a record takes about 7 minutes.
+line (Python, numpy, nproc, BLAS threads, and scipy where the run reports
+it). A run takes about 35 s, so a record takes about 7 minutes.
 
 compare reads BENCH_<A>.json and BENCH_<B>.json (or the paths given) and
 labels each workload/metric pair "changed" when the median moved by more
@@ -76,7 +76,7 @@ def record(label: str) -> Path:
             for name in names:
                 values[name].append(result["metrics"][name]["value"])
             report["src_sha256"] = info["src_sha256"]
-            report["host"] = {key: info[key] for key in HOST_KEYS}
+            report["host"] = {key: info[key] for key in HOST_KEYS if key in info}
         report["workloads"][workload] = {
             "attempted": attempted,
             "failed": failed,
