@@ -168,7 +168,10 @@ def load_rates(path) -> DetectionRates:
 
 def _format_value(value) -> str:
     if isinstance(value, float):
-        return f"{value:.12g}"
+        text = f"{value:.12g}"
+        # 12 digits round a value next to 1 onto it, the open upper bound of
+        # dark_prob; such a value keeps all its digits
+        return repr(value) if text == "1" and value != 1.0 else text
     return str(value)
 
 

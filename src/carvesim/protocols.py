@@ -101,28 +101,6 @@ def prepare(spec: PreparationSpec) -> TwoAtomState:
     return TwoAtomState(f * base + (1.0 - f) * np.eye(4) / 4.0)
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Quasi-static Gaussian qubit-frequency noise, common and differential.
-
-    Sigmas are standard deviations in kHz (2pi x kHz angular); the common
-    mode shifts both qubits together and dephases the uu-dd coherence, the
-    differential mode dephases ud-du. Defaults are calibrated to coherence
-    lifetimes of 90 us (common) and 134 us (differential).
-    """
-
-    sigma_common_2pi_khz: float = None  # type: ignore[assignment]
-    sigma_diff_2pi_khz: float = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.sigma_common_2pi_khz is None:
-            object.__setattr__(self, "sigma_common_2pi_khz", sigma_for_lifetime(90.0))
-        if self.sigma_diff_2pi_khz is None:
-            object.__setattr__(self, "sigma_diff_2pi_khz", sigma_for_lifetime(134.0))
-        if self.sigma_common_2pi_khz < 0 or self.sigma_diff_2pi_khz < 0:
-            raise ValueError("noise sigmas must be >= 0")
-
-
 def sigma_for_lifetime(tau_us: float) -> float:
     """Frequency spread (2pi kHz) whose Gaussian dephasing has 1/e time tau.
 
@@ -133,6 +111,24 @@ def sigma_for_lifetime(tau_us: float) -> float:
     if not tau_us > 0:
         raise ValueError("tau must be > 0")
     return 1.0e3 / (2.0 * np.pi * np.sqrt(2.0) * tau_us)
+
+
+@dataclass(frozen=True)
+class NoiseModel:
+    """Quasi-static Gaussian qubit-frequency noise, common and differential.
+
+    Sigmas are standard deviations in kHz (2pi x kHz angular); the common
+    mode shifts both qubits together and dephases the uu-dd coherence, the
+    differential mode dephases ud-du. Defaults are calibrated to coherence
+    lifetimes of 90 us (common) and 134 us (differential).
+    """
+
+    sigma_common_2pi_khz: float = sigma_for_lifetime(90.0)
+    sigma_diff_2pi_khz: float = sigma_for_lifetime(134.0)
+
+    def __post_init__(self):
+        if self.sigma_common_2pi_khz < 0 or self.sigma_diff_2pi_khz < 0:
+            raise ValueError("noise sigmas must be >= 0")
 
 
 def _sqdiff(x: np.ndarray) -> np.ndarray:
@@ -146,7 +142,7 @@ _DM2 = _sqdiff((ATOM1_UP - ATOM2_UP).astype(float))
 
 
 def wait_evolution(
-    state: TwoAtomState, t_us: float, noise: NoiseModel | None = None
+    state: TwoAtomState, t_us: float, noise: NoiseModel = NoiseModel()
 ) -> TwoAtomState:
     """Free evolution for t_us microseconds under the dephasing model.
 
@@ -158,7 +154,6 @@ def wait_evolution(
     """
     if t_us < 0:
         raise ValueError("t must be >= 0")
-    noise = noise or NoiseModel()
     wc = 2.0 * np.pi * noise.sigma_common_2pi_khz * 1e-3  # rad / us
     wd = 2.0 * np.pi * noise.sigma_diff_2pi_khz * 1e-3
     decay = np.exp(-0.5 * (wc**2 * _DN2 + wd**2 * _DM2) * t_us**2)
@@ -189,24 +184,38 @@ class HeraldOutcome:
             raise ValueError("d_fraction out of [0, 1]")
 
 
+def _log_poisson(n_max: int, lam: np.ndarray) -> np.ndarray:
+    """log(exp(-lam) lam**n / n!) for n = 0..n_max and each entry of a 2-d lam >= 0.
+
+    Past n = 0 it is Loader's form -bd0 - stirlerr(n) - log(2 pi n) / 2, with
+    bd0 = n log(n / lam) + lam - n through log1p (-inf at lam = 0 or -0.0).
+    At lam in the thousands it sums over n to 1 within a few ulps, where the
+    plain n log(lam) - lgamma(n + 1) - lam is off by up to 4e-12.
+    """
+    lam = np.abs(lam)
+    half_log_2pi = 0.5 * math.log(2 * math.pi)
+    n = np.arange(1, n_max + 1, dtype=float)[:, None, None]
+    with np.errstate(divide="ignore", over="ignore"):
+        bd0 = n * np.log1p((n - lam) / lam) - (n - lam)
+    # stirlerr(n) = log(n! / (sqrt(2 pi n) (n / e)**n)), by its asymptotic
+    # series from n = 16 (the first omitted term is below 2e-14)
+    inv2 = 1.0 / n**2
+    stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - inv2 / 1680) * inv2) * inv2) / n
+    for k in range(1, min(n_max, 15) + 1):
+        stirlerr[k - 1] = math.lgamma(k + 1) - (k + 0.5) * math.log(k) + k - half_log_2pi
+    return np.concatenate([-lam[None], -bd0 - stirlerr - half_log_2pi - 0.5 * np.log(n)])
+
+
 class _PulseTables:
     """Precomputed per-branch record amplitudes and Schur multipliers.
 
     count[n] is the multiplier conditioned on exactly n detected d photons,
     for n up to n_max, where the largest branch's Poisson tail is 12 sigma
     out; pmf[b, n] is its diagonal, the photon-count distribution of basis
-    state b.
+    state b. At any nbar the rows are finite and sum to overlap * no_click.
     """
 
-    __slots__ = (
-        "count",
-        "pmf",
-        "n_max",
-        "herald_mult",
-        "p_no_d",
-        "p_no_a",
-        "dark",
-    )
+    __slots__ = ("count", "pmf", "n_max", "herald_mult", "p_no_d", "p_no_a", "dark")
 
     def __init__(self, model: ReflectionModel, pulse: PulseConfig):
         nu = pulse.nbar * pulse.mode_match
@@ -243,19 +252,19 @@ class _PulseTables:
         max_rate = float(np.max(eta * delta**2))
         n_max = max(8, int(math.ceil(max_rate + 12.0 * math.sqrt(max_rate + 1.0))))
         # count[n] = overlap * quad * amp**n / n!, one n at a time so the MC's
-        # records keep their bits; once amp**n or n! leaves the float range,
-        # the rows go on by the recursion count[n] = count[n - 1] * amp / n
+        # records keep their bits, wherever that is finite and overlap * quad
+        # is a normal float; elsewhere (n > 170, amp**n overflowing, or
+        # eta * delta**2 past about 708) it is overlap * no_click times the
+        # Poisson weight of n at mean amp, taken in logs
         amp = eta * np.outer(delta, delta)
-        rows = [overlap * quad]
+        head = overlap * quad
+        per_n = min(n_max, _MAX_FLOAT_FACTORIAL) + 1
         with np.errstate(over="ignore", invalid="ignore"):
-            for n in range(1, n_max + 1):
-                row = None
-                if n <= _MAX_FLOAT_FACTORIAL:
-                    row = rows[0] * amp**n / math.factorial(n)
-                if row is None or not np.isfinite(row).all():
-                    row = rows[-1] * amp / n
-                rows.append(row)
-        self.count = np.stack(rows)
+            self.count = np.stack([head * amp**n / math.factorial(n) for n in range(per_n)])
+        held = np.isfinite(self.count) & (head >= np.finfo(float).tiny)
+        if per_n <= n_max or not held.all():
+            logs = np.exp(log_g - 0.5 * eta * _sqdiff(delta) + _log_poisson(n_max, amp))
+            self.count = np.concatenate([np.where(held, self.count, logs[:per_n]), logs[per_n:]])
         self.pmf = np.diagonal(self.count, axis1=1, axis2=2).T.copy()
         self.n_max = n_max
         self.herald_mult = overlap * (no_click - (1.0 - dark) * quad)
@@ -310,15 +319,6 @@ def carve_step(
     )
 
 
-def final_rotation_for(target: BellKind) -> RotationSpec | None:
-    """Last rotation of the carving sequence needed to reach a Bell target."""
-    if target is BellKind.PHI_MINUS:
-        return RotationSpec("y", np.pi / 2)
-    if target is BellKind.PHI_PLUS:
-        return RotationSpec("x", np.pi / 2)
-    return None
-
-
 @dataclass(frozen=True)
 class ProtocolResult:
     """Heralded protocol output with success bookkeeping.
@@ -336,22 +336,6 @@ class ProtocolResult:
     f_ideal: float | None = None
 
 
-def double_carving(
-    prep: PreparationSpec | None = None,
-    pulse: PulseConfig | None = None,
-    cavity: ReflectionModel | None = None,
-    final_rotation: RotationSpec | None = None,
-) -> ProtocolResult:
-    """Two-pulse carving: R_y(pi/2), carve, R_y(pi), carve, optional rotation.
-
-    From down-down preparation the sequence heralds Psi+, which the final
-    rotation can convert into Phi- (R_y(pi/2)) or Phi+ (R_x(pi/2)); from the
-    antiparallel mixture it heralds the singlet Psi-. The paper-named entry
-    point: it runs the same op list as run_protocol(ProtocolSpec("double")).
-    """
-    return _execute(ProtocolSpec("double", prep=prep), pulse, cavity, final_rotation)
-
-
 def single_carving_eta_ideal(alpha: float) -> float:
     """Ideal herald efficiency 1 - cos^4(alpha/2) of single carving."""
     return 1.0 - np.cos(alpha / 2.0) ** 4
@@ -362,31 +346,16 @@ def single_carving_f_ideal(alpha: float) -> float:
     return 4.0 * np.cos(alpha / 2.0) ** 2 / (3.0 + np.cos(alpha))
 
 
-def single_carving(
-    alpha: float,
-    pulse: PulseConfig | None = None,
-    cavity: ReflectionModel | None = None,
-    final_rotation: RotationSpec | None = None,
-) -> ProtocolResult:
-    """One-pulse carving after a weak R_y(alpha) excitation from down-down.
-
-    Carving away the down-down component of the product state leaves a state
-    close to Psi+ (exactly Psi+ as alpha -> 0) at herald efficiency
-    eta_ideal; the efficiency/fidelity trade-off is the point of this scheme.
-    The paper-named entry point: it runs the same op list as
-    run_protocol(ProtocolSpec("single", alpha=alpha)).
-    """
-    return _execute(ProtocolSpec("single", alpha=alpha), pulse, cavity, final_rotation)
-
-
 @dataclass(frozen=True)
 class ProtocolSpec:
     """Descriptor of a carving protocol run.
 
-    scheme is "double" or "single"; the preparation defaults to down_down
-    except for the double-carving singlet target, which needs the
-    antiparallel mixture. Single carving starts from a perfect down-down
-    state and cannot reach the singlet at all.
+    scheme is "double" (R_y(pi/2), carve, R_y(pi), carve: Psi+ from
+    down-down, the singlet from the antiparallel mixture) or "single" (one
+    pulse after a weak R_y(alpha) excitation of a perfect down-down state:
+    near Psi+ at efficiency eta_ideal, never the antisymmetric singlet). A
+    final rotation turns Psi+ into Phi- or Phi+. The preparation defaults
+    to down_down except for the double-carving singlet target.
     """
 
     scheme: str = "double"
@@ -417,11 +386,12 @@ class ProtocolSpec:
         return 2 if self.scheme == "double" else 1
 
 
-def _build_ops(spec: ProtocolSpec, final: RotationSpec | None) -> tuple:
+def _build_ops(spec: ProtocolSpec) -> tuple:
     """The one description of a protocol: its preparation and its op list.
 
-    Ops are ("rotate", RotationSpec) and ("pulse",); the exact channel
-    (_execute) and the Monte Carlo both walk this list.
+    Ops are ("rotate", RotationSpec) and ("pulse",); a Phi target ends the
+    list with the rotation that turns Psi+ into it. The exact channel
+    (run_protocol) and the Monte Carlo both walk this list.
     """
     if spec.scheme == "double":
         ops = [
@@ -434,19 +404,25 @@ def _build_ops(spec: ProtocolSpec, final: RotationSpec | None) -> tuple:
     else:
         ops = [("rotate", RotationSpec("y", spec.alpha)), ("pulse",)]
         prep = PreparationSpec("pure_dd")
-    if final is not None:
-        ops.append(("rotate", final))
+    if spec.target is BellKind.PHI_MINUS:
+        ops.append(("rotate", RotationSpec("y", np.pi / 2)))
+    elif spec.target is BellKind.PHI_PLUS:
+        ops.append(("rotate", RotationSpec("x", np.pi / 2)))
     return prep, ops
 
 
-def _execute(
+def run_protocol(
     spec: ProtocolSpec,
-    pulse: PulseConfig | None,
-    cavity: ReflectionModel | None,
-    final: RotationSpec | None,
+    pulse: PulseConfig | None = None,
+    cavity: ReflectionModel | None = None,
 ) -> ProtocolResult:
-    """Exact channel along the op list; the state is the last step's, rotated."""
-    prep, ops = _build_ops(spec, final)
+    """Exact channel along the protocol's op list.
+
+    The state is the last step's, rotated for a Phi target. cavity is a
+    ReflectionModel, or None for the default CavityParams(); it is resolved
+    once for all pulses of the run.
+    """
+    prep, ops = _build_ops(spec)
     model = _as_model(cavity)
     state = prepare(prep)
     steps = []
@@ -469,19 +445,6 @@ def _execute(
         steps=tuple(steps),
         **ideal,
     )
-
-
-def run_protocol(
-    spec: ProtocolSpec,
-    pulse: PulseConfig | None = None,
-    cavity: ReflectionModel | None = None,
-) -> ProtocolResult:
-    """Exact-channel evaluation of a protocol descriptor.
-
-    cavity is a ReflectionModel, or None for the default CavityParams(); it
-    is resolved once for all pulses of the run.
-    """
-    return _execute(spec, pulse, cavity, final_rotation_for(spec.target))
 
 
 @dataclass(frozen=True)
@@ -531,7 +494,6 @@ def monte_carlo_run(
     seed: int,
     pulse: PulseConfig | None = None,
     cavity: ReflectionModel | None = None,
-    workers: int | None = None,
 ) -> MonteCarloResult:
     """Trajectory simulation of a protocol, deterministic in (seed, trial).
 
@@ -541,23 +503,14 @@ def monte_carlo_run(
     those prefix states, so each reached prefix is rotated and carved once
     for all trials that share it. Each count draw is tested against column
     0 of its node's cdf row, and only the trials past it are searched, one
-    reached node at a time (_photon_counts). workers is accepted and
-    ignored; it no longer splits the work, and the records never depended
-    on it. It raises OverflowError for a pulse that needs photon counts
-    past n = 170.
+    reached node at a time (_photon_counts). The counts come from carve_step's
+    count table, so the MC covers the exact channel's nbar range.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     pulse = pulse or PulseConfig()
     tables = _PulseTables(_as_model(cavity), pulse)
-    if tables.n_max > _MAX_FLOAT_FACTORIAL:
-        # the MC keeps the range it had while its count rows divided by n! as
-        # a float; lifting it changes what an nbar = 800 sweep reports
-        raise OverflowError(
-            f"monte_carlo_run counts photons up to n = {_MAX_FLOAT_FACTORIAL}; "
-            f"this pulse needs n_max = {tables.n_max} (lower nbar)"
-        )
-    prep, ops = _build_ops(protocol, final_rotation_for(protocol.target))
+    prep, ops = _build_ops(protocol)
     n_pulses = protocol.n_pulses
 
     diag0 = prepare(prep).rho.diagonal().real

@@ -85,15 +85,28 @@ def test_sweep_rejects_bad_range():
                  "--stop", "2.5", "--steps", "3", "--trials", "100"]) == 2
 
 
-def test_overflow_is_exit_2_without_traceback():
-    # the Poisson weights of nbar = 800 overflow a float; that is a runtime
-    # error of the run, not a crash (numpy also warns of the overflow)
+def _run_module(argv):
     src = str(Path(carvesim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    argv = ["sweep", "--variable", "nbar", "--start", "0.1", "--stop", "800", "--steps", "2"]
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "carvesim", *argv], env=env, capture_output=True, text=True
     )
+
+
+def test_sweep_runs_the_monte_carlo_past_the_float_range_of_n_factorial():
+    # nbar = 800 needs photon counts up to n = 342
+    proc = _run_module(["sweep", "--variable", "nbar", "--start", "0.1", "--stop", "800", "--steps", "2"])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    rows = [line.split(",") for line in proc.stdout.splitlines() if not line.startswith("#")]
+    assert len(rows) == 2
+    assert all(np.isfinite(float(value)) for row in rows for value in row)
+
+
+def test_arithmetic_error_is_exit_2_without_traceback():
+    # wait_evolution squares t = 1e200, which raises OverflowError; that is a
+    # runtime error of the run, not a crash
+    proc = _run_module(["lifetime", "--t-max", "1e200"])
     assert proc.returncode == 2
     assert any(line.startswith("error: ") for line in proc.stderr.splitlines())
     assert "Traceback" not in proc.stderr

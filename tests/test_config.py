@@ -1,6 +1,17 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from carvesim import ConfigError, RunConfig, config_hash, load_config
+from carvesim import (
+    CavityParams,
+    ConfigError,
+    NoiseModel,
+    PreparationSpec,
+    PulseConfig,
+    RunConfig,
+    config_hash,
+    load_config,
+)
 from carvesim.config import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
@@ -9,6 +20,7 @@ from carvesim.config import (
     parse_config_text,
     with_overrides,
 )
+from carvesim.protocols import PREP_KINDS
 
 
 def build(text: str) -> RunConfig:
@@ -116,3 +128,42 @@ def test_overrides_leave_base_untouched():
     assert other.trials == 5 and cfg.trials == DEFAULT_TRIALS
     with pytest.raises(ConfigError):
         with_overrides(cfg, trials=0)
+
+
+@st.composite
+def run_configs(draw):
+    """Valid RunConfigs: every range validated by its component, and values
+    that sit on or next to those bounds."""
+    kappa = draw(st.floats(1e-3, 1e3))
+    cavity = CavityParams(
+        g_2pi_mhz=draw(st.floats(0.0, 1e3)),
+        kappa_2pi_mhz=kappa,
+        kappa_out_2pi_mhz=draw(st.floats(0.0, kappa, exclude_min=True)),
+        gamma_2pi_mhz=draw(st.floats(0.0, 1e3, exclude_min=True)),
+    )
+    pulse = PulseConfig(
+        nbar=draw(st.floats(0.0, 5e3)),
+        dark_prob=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        det_eff=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        mode_match=draw(st.floats(0.0, 1.0, exclude_min=True)),
+    )
+    prep = PreparationSpec(
+        draw(st.sampled_from(PREP_KINDS)), draw(st.none() | st.floats(0.0, 1.0))
+    )
+    noise = NoiseModel(draw(st.floats(0.0, 1e3)), draw(st.floats(0.0, 1e3)))
+    return RunConfig(
+        cavity,
+        pulse,
+        prep,
+        noise,
+        seed=draw(st.integers(0, 2**64 - 1)),
+        trials=draw(st.integers(1, 10**9)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(run_configs())
+# 12 digits would write this dark_prob as 1, outside its range [0, 1)
+@example(RunConfig(pulse=PulseConfig(dark_prob=0.99999999999999)))
+def test_config_text_round_trips_any_valid_config(cfg):
+    assert config_hash(build(config_text(cfg))) == config_hash(cfg)

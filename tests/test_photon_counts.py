@@ -1,11 +1,16 @@
-"""The MC's photon-count sampler against the broadcast comparison it replaced."""
+"""The photon-count table both engines read, and the MC's sampler of it
+against the broadcast comparison it replaced."""
+
+import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from carvesim.protocols import _photon_counts
+from carvesim import CavityParams, PulseConfig, ReflectionModel
+from carvesim.protocols import _log_poisson, _photon_counts, _PulseTables
 
 
 @st.composite
@@ -39,3 +44,49 @@ def test_photon_counts_equal_the_broadcast_comparison(case):
     n_max = cdf.shape[1] - 1
     want = np.sum(cdf[node] < u[:, None], axis=1).clip(0, n_max)
     assert np.array_equal(_photon_counts(cdf, node, u).clip(0, n_max), want)
+
+
+@st.composite
+def cavities_and_pulses(draw):
+    kappa = draw(st.floats(0.1, 100.0))
+    cavity = CavityParams(
+        g_2pi_mhz=draw(st.floats(0.0, 100.0)),
+        kappa_2pi_mhz=kappa,
+        kappa_out_2pi_mhz=draw(st.floats(0.0, kappa, exclude_min=True)),
+        gamma_2pi_mhz=draw(st.floats(0.1, 100.0)),
+    )
+    pulse = PulseConfig(
+        nbar=draw(st.floats(0.0, 5000.0)),
+        dark_prob=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        det_eff=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        mode_match=draw(st.floats(0.0, 1.0, exclude_min=True)),
+    )
+    return ReflectionModel.from_params(cavity), pulse
+
+
+@settings(max_examples=100, deadline=None)
+@given(cavities_and_pulses())
+def test_count_table_sums_to_the_unconditional_multiplier_at_any_nbar(case):
+    model, pulse = case
+    tables = _PulseTables(model, pulse)
+    assert np.isfinite(tables.count).all()
+    np.testing.assert_allclose(
+        tables.count.sum(axis=0),
+        tables.herald_mult + (1.0 - pulse.dark_prob) * tables.count[0],
+        rtol=0,
+        atol=1e-12,
+    )
+    np.testing.assert_allclose(tables.pmf.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 30.0, 1000.0, 3000.0, 4999.3, 5000.0])
+def test_log_poisson_weights_sum_to_one(lam):
+    # n log(lam) - lgamma(n + 1) - lam sums to 1 only within 3.9e-12 at
+    # lam = 5 000; the table's log rows need the sum within 1e-12
+    n_max = max(8, math.ceil(lam + 12.0 * math.sqrt(lam + 1.0)))
+    pmf = np.exp(_log_poisson(n_max, np.array([[lam]])))[:, 0, 0]
+    assert abs(pmf.sum() - 1.0) < 1e-13
+    if lam <= 30.0:
+        n = range(n_max + 1)
+        direct = [math.exp(-lam) * lam**k / math.factorial(k) for k in n]
+        np.testing.assert_allclose(pmf, direct, rtol=1e-13, atol=0)
