@@ -184,16 +184,32 @@ class HusimiGrid:
             raise ValueError(f"Husimi integral {self.integral!r} out of range")
 
 
+# columns uu, ud + du, dd: the unnormalised symmetric basis, in which the
+# coherent state of coherent_spin_vector is (c^2, c s, s^2)
+_SYMMETRIC_BASIS = np.array([[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
+
+
 def husimi_grid(state: TwoAtomState, n_theta: int, n_phi: int) -> HusimiGrid:
-    """Evaluate Q on midpoint colatitudes x uniform azimuths."""
+    """Evaluate Q on midpoint colatitudes x uniform azimuths.
+
+    Q reads rho only through its symmetric block rho_s = U^T rho U (plain sums
+    of rho entries, so the singlet's block is exactly 0). With m(theta) =
+    (c^2, c s, s^2), c = cos(theta/2), s = -sin(theta/2), Q is
+    (3 / 4 pi) sum_jl m_j m_l Re(rho_s[j, l] exp(i (l - j) phi)): one real
+    (n_theta, 9) @ (9, n_phi) product.
+    """
     if n_theta < 2 or n_phi < 2:
         raise ValueError("grid resolution must be at least 2 x 2")
     theta = (np.arange(n_theta) + 0.5) * np.pi / n_theta
     phi = np.arange(n_phi) * 2.0 * np.pi / n_phi
-    vec = coherent_spin_vector(theta[:, None], phi[None, :])
-    q = 3.0 / (4.0 * np.pi) * np.einsum(
-        "tpa,ab,tpb->tp", vec.conj(), state.rho, vec
-    ).real
+    c, s = np.cos(theta / 2.0), -np.sin(theta / 2.0)
+    m = np.stack([c * c, c * s, s * s], axis=1)  # (n_theta, 3)
+    rho_s = (_SYMMETRIC_BASIS.T @ state.rho @ _SYMMETRIC_BASIS).reshape(9)
+    k = np.subtract.outer(np.arange(3), np.arange(3)).reshape(9)  # j - l
+    # Re(rho_s[j, l] exp(-i k phi)) with k = j - l
+    phase = np.outer(k, phi)
+    terms = rho_s.real[:, None] * np.cos(phase) + rho_s.imag[:, None] * np.sin(phase)
+    q = ((m[:, :, None] * m[:, None, :]).reshape(n_theta, 9) @ terms) * (3.0 / (4.0 * np.pi))
     q = np.where(np.abs(q) < 1e-300, 0.0, q)
     weights = np.sin(theta)[:, None] * (np.pi / n_theta) * (2.0 * np.pi / n_phi)
     integral = float(np.sum(q * weights))

@@ -327,8 +327,10 @@ def cmd_husimi(args, config: RunConfig):
         spec, pulse, model, _ = _inputs(args, config)
         state = run_protocol(spec, pulse, model).state
     grid = husimi_grid(state, n_theta, n_phi)
-    flat_idx = int(np.argmax(grid.q))
-    ti, pi = np.unravel_index(flat_idx, grid.q.shape)
+    # the first grid point, in row-major order, within 1e-12 of the maximum:
+    # exact ties (along phi or theta) then do not hang on rounding noise
+    near_max = grid.q >= grid.q.max() * (1.0 - 1e-12)
+    ti, pi = np.unravel_index(int(np.argmax(near_max)), grid.q.shape)
     rows = (
         (grid.theta[i], grid.phi[j], grid.q[i, j], grid.x[i, j], grid.y[i, j])
         for i in range(n_theta)
@@ -342,6 +344,13 @@ def cmd_husimi(args, config: RunConfig):
 
 
 def cmd_lifetime(args, config: RunConfig):
+    if not 0.0 < args.t_max < math.inf:
+        raise ValueError(f"--t-max must be a finite time > 0 us, got {args.t_max!r}")
+    if not math.isfinite(args.t_max * args.t_max):
+        # the dephasing exponent squares each wait time
+        raise OverflowError(f"--t-max {args.t_max!r} overflows a float when squared")
+    if args.points < 3:
+        raise ValueError(f"--points must be at least 3, got {args.points}")
     spec, _, _, noise = _inputs(args, config)
     bell = bell_state(spec.target)
     times = np.linspace(0.0, args.t_max, args.points)

@@ -11,6 +11,7 @@ monte_carlo_run samples the same statistics trajectory by trajectory.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -154,10 +155,17 @@ def wait_evolution(
     """
     if t_us < 0:
         raise ValueError("t must be >= 0")
+    return TwoAtomState(state.rho * np.exp(_decay_rate(noise) * t_us**2))
+
+
+@functools.lru_cache(maxsize=16)
+def _decay_rate(noise: NoiseModel) -> np.ndarray:
+    """-(wc^2 dn^2 + wd^2 dm^2) / 2 per coherence, in 1 / us^2; read-only."""
     wc = 2.0 * np.pi * noise.sigma_common_2pi_khz * 1e-3  # rad / us
     wd = 2.0 * np.pi * noise.sigma_diff_2pi_khz * 1e-3
-    decay = np.exp(-0.5 * (wc**2 * _DN2 + wd**2 * _DM2) * t_us**2)
-    return TwoAtomState(state.rho * decay)
+    rate = -0.5 * (wc**2 * _DN2 + wd**2 * _DM2)
+    rate.flags.writeable = False
+    return rate
 
 
 @dataclass(frozen=True)
@@ -293,10 +301,13 @@ def carve_step(
     conditioned on at least one detected d photon or a dark count. cavity is
     the ReflectionModel of the cavity, None for the default CavityParams().
     """
+    return _carve(state, _PulseTables(_as_model(cavity), pulse or PulseConfig()))
+
+
+def _carve(state: TwoAtomState, tables: _PulseTables) -> HeraldOutcome:
+    """carve_step with the pulse's tables built; run_protocol builds them once per run."""
     if abs(state.trace_weight - 1.0) > 1e-9:
         raise ValueError("carve_step needs a normalized input state")
-    pulse = pulse or PulseConfig()
-    tables = _PulseTables(_as_model(cavity), pulse)
     diag = state.rho.diagonal().real
     herald_prob = float(diag @ tables.herald_mult.diagonal().real)
     if herald_prob < 1e-15:
@@ -419,18 +430,18 @@ def run_protocol(
     """Exact channel along the protocol's op list.
 
     The state is the last step's, rotated for a Phi target. cavity is a
-    ReflectionModel, or None for the default CavityParams(); it is resolved
-    once for all pulses of the run.
+    ReflectionModel, or None for the default CavityParams(); it and the
+    pulse tables are built once for all pulses of the run.
     """
     prep, ops = _build_ops(spec)
-    model = _as_model(cavity)
+    tables = _PulseTables(_as_model(cavity), pulse or PulseConfig())
     state = prepare(prep)
     steps = []
     for op in ops:
         if op[0] == "rotate":
             state = global_rotation(state, op[1])
         else:
-            steps.append(carve_step(state, pulse, model))
+            steps.append(_carve(state, tables))
             state = steps[-1].state
     ideal = {}
     if spec.scheme == "single":

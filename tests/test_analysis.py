@@ -131,6 +131,10 @@ def test_singlet_husimi_vanishes(rng):
     st = bell_state(BellKind.PSI_MINUS)
     for theta, phi in zip(rng.uniform(0, np.pi, 25), rng.uniform(0, 2 * np.pi, 25)):
         assert abs(husimi_q(st, theta, phi)) < 1e-12
+    # the grid reads rho through sums of its entries, which cancel exactly
+    for n_theta, n_phi in ((9, 14), (60, 120)):
+        grid = husimi_grid(st, n_theta, n_phi)
+        assert np.all(grid.q == 0.0) and grid.integral == 0.0
 
 
 def test_husimi_peak_values():
@@ -157,10 +161,11 @@ def test_husimi_grid_integral_is_symmetric_weight(make_state):
 def test_husimi_grid_matches_pointwise_q(make_state):
     for _ in range(3):
         st = make_state()
-        grid = husimi_grid(st, 9, 14)
-        for i, theta in enumerate(grid.theta):
-            for j, phi in enumerate(grid.phi):
-                assert abs(grid.q[i, j] - husimi_q(st, theta, phi)) <= 1e-12
+        for n_theta, n_phi in ((9, 14), (17, 33), (60, 120)):
+            grid = husimi_grid(st, n_theta, n_phi)
+            for i, theta in enumerate(grid.theta):
+                for j, phi in enumerate(grid.phi):
+                    assert abs(grid.q[i, j] - husimi_q(st, theta, phi)) <= 1e-14
 
 
 def test_husimi_grid_shapes_and_projection():

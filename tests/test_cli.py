@@ -110,6 +110,7 @@ def test_arithmetic_error_is_exit_2_without_traceback():
     assert proc.returncode == 2
     assert any(line.startswith("error: ") for line in proc.stderr.splitlines())
     assert "Traceback" not in proc.stderr
+    assert "--t-max" in proc.stderr
 
 
 def test_parity_outputs(tmp_path, capsys):
@@ -222,6 +223,16 @@ def test_lifetime_too_few_points_is_exit_2(points, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    assert "--points" in err
+
+
+@pytest.mark.parametrize("t_max", ["nan", "inf", "-inf", "0", "-5", "1e200"])
+def test_lifetime_bad_t_max_is_exit_2_naming_the_option(t_max, capsys, recwarn):
+    assert main(["lifetime", f"--t-max={t_max}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --t-max ") and captured.err.count("\n") == 1
+    assert not recwarn.list
 
 
 def test_detect_matrix(capsys):

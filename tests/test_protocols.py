@@ -217,6 +217,24 @@ def test_run_protocol_builds_the_reflection_model_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_run_protocol_builds_the_pulse_tables_once(monkeypatch):
+    built = []
+
+    class Counted(_PulseTables):
+        __slots__ = ()
+
+        def __init__(self, model, pulse):
+            built.append(pulse)
+            super().__init__(model, pulse)
+
+    monkeypatch.setattr("carvesim.protocols._PulseTables", Counted)
+    for scheme in ("double", "single"):
+        built.clear()
+        result = run_protocol(ProtocolSpec(scheme, BellKind.PSI_PLUS), PulseConfig())
+        assert len(result.steps) == ProtocolSpec(scheme).n_pulses
+        assert built == [PulseConfig()]
+
+
 def test_carve_step_requires_normalized_state():
     sub = prepare(PERFECT_PREP)
     from carvesim import project
@@ -283,6 +301,20 @@ def test_wait_evolution_is_bitwise_the_inline_formula():
             decay = np.exp(-0.5 * (wc**2 * dn**2 + wd**2 * dm**2) * t**2)
             expected = TwoAtomState(carved.rho * decay).rho
             assert np.array_equal(wait_evolution(carved, t, noise).rho, expected)
+
+
+def test_wait_evolution_keeps_each_noise_model_apart():
+    # the decay rate is cached per model: alternating models must not share it
+    phi, psi = bell_state(BellKind.PHI_MINUS), bell_state(BellKind.PSI_PLUS)
+    t = 40.0
+    for noise in (NoiseModel(2.0, 0.5), NoiseModel(0.5, 3.0)) * 2:
+        wc = 2 * np.pi * noise.sigma_common_2pi_khz * 1e-3
+        wd = 2 * np.pi * noise.sigma_diff_2pi_khz * 1e-3
+        # uu-dd has delta_n = 2, ud-du has delta_m = 2
+        outer = wait_evolution(phi, t, noise).element("uu", "dd").real
+        inner = wait_evolution(psi, t, noise).element("ud", "du").real
+        assert outer == pytest.approx(-0.5 * np.exp(-2.0 * wc**2 * t**2), rel=1e-12)
+        assert inner == pytest.approx(0.5 * np.exp(-2.0 * wd**2 * t**2), rel=1e-12)
 
 
 def test_sigma_for_lifetime_roundtrip():

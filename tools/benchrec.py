@@ -4,6 +4,7 @@ Usage, from the root of a checkout:
 
     python3 tools/benchrec.py record LABEL
     python3 tools/benchrec.py compare A B
+    python3 tools/benchrec.py pairs OTHER_CHECKOUT --workload W [--pairs 10]
 
 record runs `python3 perfbench/run.py --workload W --seed S --seconds 25
 --trace 0` for every workload named in BENCHMARK.json and seeds 101-103, one
@@ -17,8 +18,12 @@ compare reads BENCH_<A>.json and BENCH_<B>.json (or the paths given) and
 labels each workload/metric pair "changed" when the median moved by more
 than the metric's bound in BENCHMARK.json, relative to A, and "within noise"
 otherwise. The bounds are the run-to-run spread and set-to-set shift of
-identical code (perfbench/README.md). Both commands only read BENCHMARK.json
-and perfbench/.
+identical code (perfbench/README.md).
+
+pairs runs one workload in OTHER_CHECKOUT (the parent) and in this checkout
+in turn, on seeds 101 and up, the parent first on odd seeds, and prints per
+end-to-end metric both medians [Q1, Q3], the ratio and in how many pairs
+this checkout was better. The commands only read BENCHMARK.json and perfbench/.
 """
 
 from __future__ import annotations
@@ -40,11 +45,11 @@ def load_benchmark() -> dict:
     return json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
-def run_once(workload: str, seed: int) -> tuple[dict, dict]:
-    """(info, result) lines of one benchmark run; raises if it fails."""
+def run_once(workload: str, seed: int, root: Path = ROOT) -> tuple[dict, dict]:
+    """(info, result) lines of one benchmark run in the checkout at root; raises if it fails."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd[1:])} exited {proc.returncode}: {proc.stderr[-300:]}")
     lines = proc.stdout.strip().splitlines()
@@ -117,6 +122,41 @@ def compare(a_name: str, b_name: str) -> list[str]:
     return lines
 
 
+def pairs(other: Path, workload: str, n_pairs: int) -> list[str]:
+    """Alternating runs of the parent at other and of this checkout, tallied per metric."""
+    bench = load_benchmark()
+    names = [m["name"] for m in bench["end_to_end"]]
+    sides = {"parent": other, "change": ROOT}
+    values = {side: {name: [] for name in names} for side in sides}
+    ops = {side: [0, 0, True] for side in sides}  # failed, attempted, correct
+    for seed in range(101, 101 + n_pairs):
+        order = ("parent", "change") if seed % 2 else ("change", "parent")
+        for side in order:
+            _, result = run_once(workload, seed, sides[side])
+            print(f"{workload} seed {seed} {side}: ops {result['attempted']}, failed "
+                  f"{result['failed']}, correct {result['correct']}", file=sys.stderr)
+            ops[side][0] += result["failed"]
+            ops[side][1] += result["attempted"]
+            ops[side][2] = ops[side][2] and result["correct"]
+            for name in names:
+                values[side][name].append(result["metrics"][name]["value"])
+    lines = [f"{workload}: {n_pairs} pairs, seeds 101-{100 + n_pairs}, parent {other}"]
+    lines += [f"  {side}: failed {f}/{a}, correct {c}" for side, (f, a, c) in ops.items()]
+    for metric in bench["end_to_end"]:
+        name = metric["name"]
+        a, b = values["parent"][name], values["change"][name]
+        sa, sb = spread(a), spread(b)
+        ratio = sb["median"] / sa["median"] if sa["median"] else float("inf")
+        lower = metric["better"] == "lower"
+        wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
+        lines.append(
+            f"  {name:12s} {sa['median']:.4g} [{sa['q1']:.4g}, {sa['q3']:.4g}] -> "
+            f"{sb['median']:.4g} [{sb['q1']:.4g}, {sb['q3']:.4g}] {metric['unit']}  "
+            f"x{ratio:.3g}  change better in {wins} of {n_pairs}"
+        )
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -125,11 +165,20 @@ def main(argv=None) -> int:
     p = sub.add_parser("compare", help="label each metric changed or within noise")
     p.add_argument("a")
     p.add_argument("b")
+    p = sub.add_parser("pairs", help="alternate runs of another checkout and this one")
+    p.add_argument("other", type=Path, help="root of the parent's checkout")
+    p.add_argument("--workload", required=True,
+                   choices=[w["name"] for w in load_benchmark()["workloads"]])
+    p.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
+    if args.command == "pairs" and args.pairs < 1:
+        parser.error("--pairs must be at least 1")
     if args.command == "record":
         print(record(args.label))
-    else:
+    elif args.command == "compare":
         print("\n".join(compare(args.a, args.b)))
+    else:
+        print("\n".join(pairs(args.other.resolve(), args.workload, args.pairs)))
     return 0
 
 
