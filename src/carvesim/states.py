@@ -65,14 +65,6 @@ def bell_vector(kind: BellKind) -> np.ndarray:
     return v
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-_BELL_VECTORS = {kind: _read_only(bell_vector(kind)) for kind in BellKind}
-
-
 class TwoAtomState:
     """Density matrix of the atom pair, possibly sub-normalized.
 
@@ -192,7 +184,7 @@ def fidelity(state: TwoAtomState, target: BellKind) -> float:
     """Overlap <psi|rho|psi> with a Bell target; other targets raise ValueError."""
     if abs(state.trace_weight - 1.0) > 1e-9:
         raise ValueError("fidelity needs a normalized state; renormalize first")
-    v = _BELL_VECTORS[target] if isinstance(target, BellKind) else bell_vector(target)
+    v = bell_vector(target)
     return float(np.real(v.conj() @ state.rho @ v))
 
 

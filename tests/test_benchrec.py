@@ -1,8 +1,6 @@
 import importlib.util
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parents[1]
 spec = importlib.util.spec_from_file_location("benchrec", ROOT / "tools" / "benchrec.py")
 benchrec = importlib.util.module_from_spec(spec)
@@ -30,27 +28,22 @@ def test_pairs_alternate_the_checkouts_and_tally_each_metric(monkeypatch, tmp_pa
         return {}, {"attempted": 10 + side, "failed": side, "correct": True, "metrics": metrics}
 
     monkeypatch.setattr(benchrec, "run_once", fake_run_once)
-    lines = benchrec.pairs(tmp_path, "exact_tomography", 4)
+    lines = benchrec.pairs(tmp_path, "exact_tomography")
 
-    # the parent runs first on odd seeds, this checkout first on even ones
-    assert calls == [
-        ("exact_tomography", 101, tmp_path), ("exact_tomography", 101, benchrec.ROOT),
-        ("exact_tomography", 102, benchrec.ROOT), ("exact_tomography", 102, tmp_path),
-        ("exact_tomography", 103, tmp_path), ("exact_tomography", 103, benchrec.ROOT),
-        ("exact_tomography", 104, benchrec.ROOT), ("exact_tomography", 104, tmp_path),
-    ]
+    # ten pairs; the parent runs first on odd seeds, this checkout first on even ones
+    expected = []
+    for seed in range(101, 111):
+        order = (tmp_path, benchrec.ROOT) if seed % 2 else (benchrec.ROOT, tmp_path)
+        expected += [("exact_tomography", seed, root) for root in order]
+    assert calls == expected
+    assert lines[0] == f"exact_tomography: 10 pairs, seeds 101-110, parent {tmp_path}"
     rows = {line.split()[0]: line for line in lines[3:]}
-    assert lines[1] == "  parent: failed 0/40, correct True"
-    assert lines[2] == "  change: failed 4/44, correct True"
-    assert rows["setup_s"].endswith("change better in 0 of 4")  # ties count for neither
-    assert rows["op_p50_ms"].endswith("change better in 3 of 4")
-    assert "5 [5, 5] -> 4 [4, 5.5] ms  x0.8 " in rows["op_p50_ms"]
-    assert rows["op_tail_ms"].endswith("change better in 4 of 4")
-    assert rows["ops_per_s"].endswith("change better in 4 of 4")  # higher is better
-    assert rows["peak_rss_mb"].endswith("change better in 0 of 4")
+    assert lines[1] == "  parent: failed 0/100, correct True"
+    assert lines[2] == "  change: failed 10/110, correct True"
+    assert rows["setup_s"].endswith("change better in 0 of 10")  # ties count for neither
+    assert rows["op_p50_ms"].endswith("change better in 9 of 10")
+    assert "5 [5, 5] -> 4 [4, 4] ms  x0.8 " in rows["op_p50_ms"]
+    assert rows["op_tail_ms"].endswith("change better in 10 of 10")
+    assert rows["ops_per_s"].endswith("change better in 10 of 10")  # higher is better
+    assert rows["peak_rss_mb"].endswith("change better in 0 of 10")
     assert set(rows) == set(METRICS)
-
-
-def test_pairs_rejects_fewer_than_one_pair(tmp_path):
-    with pytest.raises(SystemExit):
-        benchrec.main(["pairs", str(tmp_path), "--workload", "exact_tomography", "--pairs", "0"])

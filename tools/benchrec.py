@@ -4,7 +4,7 @@ Usage, from the root of a checkout:
 
     python3 tools/benchrec.py record LABEL
     python3 tools/benchrec.py compare A B
-    python3 tools/benchrec.py pairs OTHER_CHECKOUT --workload W [--pairs 10]
+    python3 tools/benchrec.py pairs OTHER_CHECKOUT --workload W
 
 record runs `python3 perfbench/run.py --workload W --seed S --seconds 25
 --trace 0` for every workload named in BENCHMARK.json and seeds 101-103, one
@@ -21,9 +21,9 @@ otherwise. The bounds are the run-to-run spread and set-to-set shift of
 identical code (perfbench/README.md).
 
 pairs runs one workload in OTHER_CHECKOUT (the parent) and in this checkout
-in turn, on seeds 101 and up, the parent first on odd seeds, and prints per
-end-to-end metric both medians [Q1, Q3], the ratio and in how many pairs
-this checkout was better. The commands only read BENCHMARK.json and perfbench/.
+in turn, ten pairs on seeds 101-110, the parent first on odd seeds, and
+prints per end-to-end metric both medians [Q1, Q3], the ratio and in how
+many pairs this checkout was better. The commands only read BENCHMARK.json and perfbench/.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (101, 102, 103)
 SECONDS = 25
+PAIRS = 10  # the fewest alternating pairs that can back a claimed gain
 HOST_KEYS = ("python", "numpy", "scipy", "nproc", "blas_threads")
 
 
@@ -122,14 +123,14 @@ def compare(a_name: str, b_name: str) -> list[str]:
     return lines
 
 
-def pairs(other: Path, workload: str, n_pairs: int) -> list[str]:
+def pairs(other: Path, workload: str) -> list[str]:
     """Alternating runs of the parent at other and of this checkout, tallied per metric."""
     bench = load_benchmark()
     names = [m["name"] for m in bench["end_to_end"]]
     sides = {"parent": other, "change": ROOT}
     values = {side: {name: [] for name in names} for side in sides}
     ops = {side: [0, 0, True] for side in sides}  # failed, attempted, correct
-    for seed in range(101, 101 + n_pairs):
+    for seed in range(101, 101 + PAIRS):
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         for side in order:
             _, result = run_once(workload, seed, sides[side])
@@ -140,7 +141,7 @@ def pairs(other: Path, workload: str, n_pairs: int) -> list[str]:
             ops[side][2] = ops[side][2] and result["correct"]
             for name in names:
                 values[side][name].append(result["metrics"][name]["value"])
-    lines = [f"{workload}: {n_pairs} pairs, seeds 101-{100 + n_pairs}, parent {other}"]
+    lines = [f"{workload}: {PAIRS} pairs, seeds 101-{100 + PAIRS}, parent {other}"]
     lines += [f"  {side}: failed {f}/{a}, correct {c}" for side, (f, a, c) in ops.items()]
     for metric in bench["end_to_end"]:
         name = metric["name"]
@@ -152,7 +153,7 @@ def pairs(other: Path, workload: str, n_pairs: int) -> list[str]:
         lines.append(
             f"  {name:12s} {sa['median']:.4g} [{sa['q1']:.4g}, {sa['q3']:.4g}] -> "
             f"{sb['median']:.4g} [{sb['q1']:.4g}, {sb['q3']:.4g}] {metric['unit']}  "
-            f"x{ratio:.3g}  change better in {wins} of {n_pairs}"
+            f"x{ratio:.3g}  change better in {wins} of {PAIRS}"
         )
     return lines
 
@@ -169,16 +170,13 @@ def main(argv=None) -> int:
     p.add_argument("other", type=Path, help="root of the parent's checkout")
     p.add_argument("--workload", required=True,
                    choices=[w["name"] for w in load_benchmark()["workloads"]])
-    p.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
-    if args.command == "pairs" and args.pairs < 1:
-        parser.error("--pairs must be at least 1")
     if args.command == "record":
         print(record(args.label))
     elif args.command == "compare":
         print("\n".join(compare(args.a, args.b)))
     else:
-        print("\n".join(pairs(args.other.resolve(), args.workload, args.pairs)))
+        print("\n".join(pairs(args.other.resolve(), args.workload)))
     return 0
 
 
