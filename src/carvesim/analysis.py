@@ -8,6 +8,7 @@ the two-window (transmission then fluorescence) state-detection classifier.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -165,7 +166,8 @@ class HusimiGrid:
 
     theta holds cell-midpoint colatitudes, phi the azimuth samples; q, x and
     y are (n_theta, n_phi) arrays. integral is the quadrature sum of Q dOmega,
-    which equals the symmetric-subspace weight of the state.
+    which equals the symmetric-subspace weight of the state. husimi_grid hands
+    every grid of one resolution the same read-only theta, phi, x and y.
     """
 
     theta: np.ndarray
@@ -196,26 +198,43 @@ def husimi_grid(state: TwoAtomState, n_theta: int, n_phi: int) -> HusimiGrid:
     of rho entries, so the singlet's block is exactly 0). With m(theta) =
     (c^2, c s, s^2), c = cos(theta/2), s = -sin(theta/2), Q is
     (3 / 4 pi) sum_jl m_j m_l Re(rho_s[j, l] exp(i (l - j) phi)): one real
-    (n_theta, 9) @ (9, n_phi) product.
+    (n_theta, 9) @ (9, n_phi) product. Everything but rho_s depends on the
+    resolution alone and is built once per resolution (_husimi_axes).
     """
     if n_theta < 2 or n_phi < 2:
         raise ValueError("grid resolution must be at least 2 x 2")
+    theta, phi, mm, cos, sin, weights, x, y = _husimi_axes(n_theta, n_phi)
+    rho_s = (_SYMMETRIC_BASIS.T @ state.rho @ _SYMMETRIC_BASIS).reshape(9)
+    # Re(rho_s[j, l] exp(-i k phi)) with k = j - l
+    terms = rho_s.real[:, None] * cos + rho_s.imag[:, None] * sin
+    q = (mm @ terms) * (3.0 / (4.0 * np.pi))
+    q = np.where(np.abs(q) < 1e-300, 0.0, q)
+    integral = float(np.sum(q * weights))
+    return HusimiGrid(theta=theta, phi=phi, q=q, x=x, y=y, integral=integral)
+
+
+@functools.lru_cache(maxsize=4)
+def _husimi_axes(n_theta: int, n_phi: int) -> tuple[np.ndarray, ...]:
+    """The read-only arrays of husimi_grid that depend only on the resolution.
+
+    theta, phi, the (n_theta, 9) products m_j m_l, cos and sin of k phi for
+    k = j - l, the quadrature weights and the Mollweide x, y. Each entry holds
+    two (n_theta, n_phi) maps, hence the small maxsize.
+    """
     theta = (np.arange(n_theta) + 0.5) * np.pi / n_theta
     phi = np.arange(n_phi) * 2.0 * np.pi / n_phi
     c, s = np.cos(theta / 2.0), -np.sin(theta / 2.0)
     m = np.stack([c * c, c * s, s * s], axis=1)  # (n_theta, 3)
-    rho_s = (_SYMMETRIC_BASIS.T @ state.rho @ _SYMMETRIC_BASIS).reshape(9)
+    mm = (m[:, :, None] * m[:, None, :]).reshape(n_theta, 9)
     k = np.subtract.outer(np.arange(3), np.arange(3)).reshape(9)  # j - l
-    # Re(rho_s[j, l] exp(-i k phi)) with k = j - l
     phase = np.outer(k, phi)
-    terms = rho_s.real[:, None] * np.cos(phase) + rho_s.imag[:, None] * np.sin(phase)
-    q = ((m[:, :, None] * m[:, None, :]).reshape(n_theta, 9) @ terms) * (3.0 / (4.0 * np.pi))
-    q = np.where(np.abs(q) < 1e-300, 0.0, q)
     weights = np.sin(theta)[:, None] * (np.pi / n_theta) * (2.0 * np.pi / n_phi)
-    integral = float(np.sum(q * weights))
     # a column and a row: the Newton solve runs once per latitude
     x, y = mollweide(theta[:, None], phi[None, :])
-    return HusimiGrid(theta=theta, phi=phi, q=q, x=x, y=y, integral=integral)
+    axes = (theta, phi, mm, np.cos(phase), np.sin(phase), weights, x, y)
+    for a in axes:
+        a.flags.writeable = False
+    return axes
 
 
 def mollweide(theta, phi):
@@ -270,6 +289,14 @@ def gaussian_lifetime_fit(times, fidelities, baseline: float = 0.5) -> float:
     y = fids - baseline
     amp0 = y[np.argmin(times)]
     rel = y / amp0 if amp0 != 0 else np.zeros_like(fids)
+    # rel is exactly 1 at the earliest sample; when no later sample stands above
+    # the baseline (on F0's side of it), the decay is over before the second
+    # sample and the data cannot fix tau
+    if amp0 != 0 and np.count_nonzero(rel > 0) == 1:
+        raise FitFailedError(
+            "lifetime fit failed: no sample after the earliest stands above the "
+            "baseline, so the time window is too coarse to resolve the decay"
+        )
     usable = (rel > 1e-6) & (rel < 1.0) & (times > 0)
     slope = np.polyfit(times[usable] ** 2, np.log(rel[usable]), 1)[0] if np.any(usable) else 0
     log_tau = -0.5 * math.log(-slope) if slope < 0 else math.log(np.max(np.abs(times)))

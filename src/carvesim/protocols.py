@@ -283,10 +283,19 @@ class _PulseTables:
 
 def _as_model(cavity: ReflectionModel | None) -> ReflectionModel:
     if cavity is None:
-        return ReflectionModel.from_params(CavityParams())
+        return _default_model()
     if isinstance(cavity, ReflectionModel):
         return cavity
     raise TypeError(f"expected a ReflectionModel or None, got {type(cavity)!r}")
+
+
+@functools.lru_cache(maxsize=1)
+def _default_model() -> ReflectionModel:
+    """The ReflectionModel of CavityParams(), built on first use; its arrays are read-only."""
+    model = ReflectionModel.from_params(CavityParams())
+    for table in (model.a_amp, model.d_amp, model.scatter, model.loss):
+        table.flags.writeable = False
+    return model
 
 
 def carve_step(

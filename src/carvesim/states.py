@@ -12,6 +12,7 @@ Rotation convention: R_y(a) maps ``d -> cos(a/2) d - sin(a/2) u`` and
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +73,7 @@ class TwoAtomState:
     the heralded part of a carving step before renormalization.
     """
 
-    __slots__ = ("rho",)
+    __slots__ = ("rho", "_weight")
 
     def __init__(self, rho):
         rho = np.array(rho, dtype=complex)
@@ -81,9 +82,11 @@ class TwoAtomState:
         if not np.isfinite(rho).all():
             raise ValueError("density matrix contains non-finite entries")
         adjoint = rho.conj().T
-        if np.max(np.abs(rho - adjoint)) > HERMITICITY_TOL:
+        if np.abs(rho - adjoint).max() > HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian within 1e-12")
-        rho = 0.5 * (rho + adjoint)
+        # 0.5 * (rho + adjoint) in place: the same ufuncs on the same operands
+        np.add(rho, adjoint, out=rho)
+        np.multiply(0.5, rho, out=rho)
         eigs = np.linalg.eigvalsh(rho)
         if eigs[0] < EIGENVALUE_FLOOR:
             raise ValueError(f"density matrix has negative eigenvalue {eigs[0]:.3e}")
@@ -92,6 +95,7 @@ class TwoAtomState:
             raise ValueError(f"trace weight {tr!r} exceeds 1")
         rho.flags.writeable = False
         self.rho = rho
+        self._weight = float(tr)  # rho is read-only, so its trace is read once
 
     @classmethod
     def from_vector(cls, vec) -> "TwoAtomState":
@@ -107,7 +111,7 @@ class TwoAtomState:
 
     @property
     def trace_weight(self) -> float:
-        return float(self.rho.trace().real)
+        return self._weight
 
     def element(self, row: str, col: str) -> complex:
         return complex(self.rho[BASIS_INDEX[row], BASIS_INDEX[col]])
@@ -156,9 +160,22 @@ def single_qubit_unitary(spec: RotationSpec) -> np.ndarray:
 
 
 def _pair_unitary(spec: RotationSpec) -> np.ndarray:
-    """U x U of the rotation of spec: the products of np.kron(u, u), without its overhead."""
-    u = single_qubit_unitary(spec)
-    return (u[:, None, :, None] * u[None, :, None, :]).reshape(4, 4)
+    """U x U of the rotation of spec, read-only and built once per (axis, angle)."""
+    return _pair_unitary_of(spec.axis, spec.angle)
+
+
+@functools.lru_cache(maxsize=128, typed=True)
+def _pair_unitary_of(axis, angle) -> np.ndarray:
+    """The products of np.kron(u, u), without its overhead.
+
+    typed keeps a float32 angle apart from the equal float. -0.0 shares the
+    entry of 0.0: the zero's sign is lost where it is added to the identity,
+    so both signs give the same bits (a test checks this).
+    """
+    u = single_qubit_unitary(RotationSpec(axis, angle))
+    u2 = (u[:, None, :, None] * u[None, :, None, :]).reshape(4, 4)
+    u2.flags.writeable = False
+    return u2
 
 
 def global_rotation(state: TwoAtomState, spec: RotationSpec) -> TwoAtomState:

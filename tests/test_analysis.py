@@ -295,6 +295,21 @@ def test_lifetime_fit_ill_posed_inputs_end_cleanly():
             gaussian_lifetime_fit(times, 0.5 + 0.4 * np.exp(-((times / 1.0) ** 2)))
 
 
+def test_lifetime_fit_rejects_a_window_whose_later_samples_sit_at_the_baseline():
+    # 0.5 + 0.4 exp(-t^2) rounds to 0.5 from the second sample on, and a
+    # sample below the baseline does not stand above it either
+    times = np.linspace(0.0, 300.0, 40)
+    at_baseline = 0.5 + 0.4 * np.exp(-(times**2))
+    below = at_baseline.copy()
+    below[5] = 0.49
+    for fids in (at_baseline, below, 1.0 - at_baseline, 1.0 - below):
+        with pytest.raises(FitFailedError, match="too coarse to resolve the decay"):
+            gaussian_lifetime_fit(times, fids)
+    # later samples above the baseline run the search as before
+    below[1:3] = 0.5 + np.array([2e-3, 1e-3])
+    assert np.isfinite(gaussian_lifetime_fit(times, below))
+
+
 def test_singlet_outlives_triplet_outlives_phi():
     # common-mode noise dominates: uu-dd coherences die first
     noise = NoiseModel(sigma_common_2pi_khz=5.0, sigma_diff_2pi_khz=0.5)

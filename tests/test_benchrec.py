@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,4 +47,40 @@ def test_pairs_alternate_the_checkouts_and_tally_each_metric(monkeypatch, tmp_pa
     assert rows["op_tail_ms"].endswith("change better in 10 of 10")
     assert rows["ops_per_s"].endswith("change better in 10 of 10")  # higher is better
     assert rows["peak_rss_mb"].endswith("change better in 0 of 10")
+    # the op counts that the harness's RSS grows with, per run, beside peak_rss_mb
+    assert "45 [45, 45] -> 46 [46, 46] MB (ops/run 10 -> 11)  x1.02 " in rows["peak_rss_mb"]
+    assert all("ops/run" not in row for name, row in rows.items() if name != "peak_rss_mb")
     assert set(rows) == set(METRICS)
+
+
+def test_record_keeps_ops_per_run_and_compare_shows_its_median_beside_peak_rss(
+    monkeypatch, tmp_path
+):
+    bench = benchrec.load_benchmark()
+    names = [w["name"] for w in bench["workloads"]]
+    ops = {101: 90, 102: 140, 103: 120}
+
+    def fake_run_once(workload, seed):
+        metrics = {name: {"value": pair[1], "unit": "x"} for name, pair in METRICS.items()}
+        result = {"attempted": ops[seed], "failed": 0, "correct": True, "metrics": metrics}
+        return {"src_sha256": "b"}, result
+
+    monkeypatch.setattr(benchrec, "run_once", fake_run_once)
+    monkeypatch.setattr(benchrec, "load_benchmark", lambda: bench)
+    monkeypatch.setattr(benchrec, "ROOT", tmp_path)
+    new = benchrec.record("b")
+    entry = json.loads(new.read_text())["workloads"][names[0]]
+    assert entry["ops_per_run"] == [90, 140, 120] and entry["attempted"] == 350
+
+    # an older record holds only the total op count; its mean per run stands in
+    metrics = {name: {"median": pair[0], "q1": pair[0], "q3": pair[0], "unit": "x"}
+               for name, pair in METRICS.items()}
+    entry = {"attempted": 300, "failed": 0, "correct": True, "metrics": metrics}
+    old = tmp_path / "BENCH_a.json"
+    old.write_text(json.dumps({"label": "a", "src_sha256": "a", "seeds": [101, 102, 103],
+                               "workloads": {name: entry for name in names}}))
+    lines = benchrec.compare("a", "b")
+    rss = [line for line in lines if line.split()[0] == "peak_rss_mb"]
+    assert len(rss) == len(names)
+    assert all("MB (ops/run 100 -> 120)  x1.02" in line for line in rss)
+    assert sum("ops/run" in line for line in lines) == len(rss)

@@ -235,6 +235,20 @@ def test_lifetime_bad_t_max_is_exit_2_naming_the_option(t_max, capsys, recwarn):
     assert not recwarn.list
 
 
+def test_lifetime_on_a_too_coarse_window_is_exit_2_saying_so(tmp_path, capsys, recwarn):
+    # every wait after t = 0 is fully dephased: nothing in the data fixes tau
+    assert main(["lifetime", "--t-max", "20000", "--points", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: lifetime fit failed: ")
+    assert "too coarse to resolve the decay" in captured.err
+    assert not recwarn.list
+    out = tmp_path / "life.csv"
+    assert main(["lifetime", "--t-max", "5000", "--points", "10", "--out", str(out)]) == 0
+    report = json.loads((tmp_path / "life.json").read_text())
+    assert report["tau_us"] == pytest.approx(134.0, rel=1e-9)
+
+
 def test_detect_matrix(capsys):
     report = run_json(capsys, ["detect", "--trials", "20000", "--seed", "5"])
     matrix = np.array(report["matrix"])

@@ -30,7 +30,7 @@ from carvesim import (
     single_carving_f_ideal,
     wait_evolution,
 )
-from carvesim.protocols import _PulseTables
+from carvesim.protocols import _default_model, _PulseTables
 from carvesim.states import ATOM1_UP, ATOM2_UP, N_UP
 
 IDEAL = ReflectionModel.ideal()
@@ -202,6 +202,7 @@ def test_monte_carlo_matches_the_exact_channel_past_the_float_range_of_n_factori
 
 
 def test_run_protocol_builds_the_reflection_model_once(monkeypatch):
+    # the default cavity is built on first use and then shared by every run
     calls = []
     build = ReflectionModel.from_params.__func__
 
@@ -210,10 +211,12 @@ def test_run_protocol_builds_the_reflection_model_once(monkeypatch):
         return build(cls, params)
 
     monkeypatch.setattr(ReflectionModel, "from_params", classmethod(counted))
+    _default_model.cache_clear()
     spec = ProtocolSpec("double", BellKind.PSI_PLUS)
     run_protocol(spec, PulseConfig())
-    assert len(calls) == 1
+    run_protocol(spec, PulseConfig(), None)
     run_protocol(spec, PulseConfig(), IDEAL)
+    _default_model.cache_clear()
     assert len(calls) == 1
 
 

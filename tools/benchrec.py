@@ -24,6 +24,12 @@ pairs runs one workload in OTHER_CHECKOUT (the parent) and in this checkout
 in turn, ten pairs on seeds 101-110, the parent first on odd seeds, and
 prints per end-to-end metric both medians [Q1, Q3], the ratio and in how
 many pairs this checkout was better. The commands only read BENCHMARK.json and perfbench/.
+
+compare and pairs print each side's median op count per run after
+peak_rss_mb: the worker holds a summary of every op, so the peak RSS also
+grows with the op count, and a faster change reads a larger RSS without
+the program growing. Records written before ops_per_run was kept hold only
+the total, so compare shows their mean per run.
 """
 
 from __future__ import annotations
@@ -70,21 +76,23 @@ def record(label: str) -> Path:
     report = {"label": label, "seeds": list(SEEDS), "seconds": SECONDS, "workloads": {}}
     for workload in (w["name"] for w in bench["workloads"]):
         values = {name: [] for name in names}
-        attempted = failed = 0
+        failed = 0
+        ops_per_run = []
         correct = True
         for seed in SEEDS:
             info, result = run_once(workload, seed)
             print(f"{workload} seed {seed}: ops {result['attempted']}, failed "
                   f"{result['failed']}, correct {result['correct']}", file=sys.stderr)
-            attempted += result["attempted"]
             failed += result["failed"]
             correct = correct and result["correct"]
             for name in names:
                 values[name].append(result["metrics"][name]["value"])
+            ops_per_run.append(result["attempted"])
             report["src_sha256"] = info["src_sha256"]
             report["host"] = {key: info[key] for key in HOST_KEYS if key in info}
         report["workloads"][workload] = {
-            "attempted": attempted,
+            "attempted": sum(ops_per_run),
+            "ops_per_run": ops_per_run,
             "failed": failed,
             "correct": correct,
             "metrics": {name: dict(spread(values[name]), unit=units[name]) for name in names},
@@ -97,6 +105,18 @@ def record(label: str) -> Path:
 def bench_path(name: str) -> Path:
     path = Path(name)
     return path if path.suffix == ".json" else ROOT / f"BENCH_{name}.json"
+
+
+def ops_note(name: str, ops_a: float, ops_b: float) -> str:
+    """For peak_rss_mb, the op counts per run that it grows with; else nothing."""
+    return f" (ops/run {ops_a:.6g} -> {ops_b:.6g})" if name == "peak_rss_mb" else ""
+
+
+def ops_per_run(record: dict, workload: str) -> float:
+    entry = record["workloads"][workload]
+    if "ops_per_run" in entry:
+        return statistics.median(entry["ops_per_run"])
+    return entry["attempted"] / len(record["seeds"])
 
 
 def compare(a_name: str, b_name: str) -> list[str]:
@@ -115,9 +135,10 @@ def compare(a_name: str, b_name: str) -> list[str]:
             changed = abs(ratio - 1.0) > metric["bound"]
             better = (ratio < 1.0) == (metric["better"] == "lower")
             verdict = ("better" if better else "worse") + ", changed" if changed else "within noise"
+            note = ops_note(name, ops_per_run(a, workload), ops_per_run(b, workload))
             lines.append(
                 f"  {name:12s} {ma['median']:.4g} [{ma['q1']:.4g}, {ma['q3']:.4g}] -> "
-                f"{mb['median']:.4g} [{mb['q1']:.4g}, {mb['q3']:.4g}] {metric['unit']}"
+                f"{mb['median']:.4g} [{mb['q1']:.4g}, {mb['q3']:.4g}] {metric['unit']}{note}"
                 f"  x{ratio:.3g}  {verdict} (bound {metric['bound']})"
             )
     return lines
@@ -129,7 +150,8 @@ def pairs(other: Path, workload: str) -> list[str]:
     names = [m["name"] for m in bench["end_to_end"]]
     sides = {"parent": other, "change": ROOT}
     values = {side: {name: [] for name in names} for side in sides}
-    ops = {side: [0, 0, True] for side in sides}  # failed, attempted, correct
+    ops = {side: [0, True] for side in sides}  # failed, correct
+    runs = {side: [] for side in sides}  # attempted per run
     for seed in range(101, 101 + PAIRS):
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         for side in order:
@@ -137,12 +159,12 @@ def pairs(other: Path, workload: str) -> list[str]:
             print(f"{workload} seed {seed} {side}: ops {result['attempted']}, failed "
                   f"{result['failed']}, correct {result['correct']}", file=sys.stderr)
             ops[side][0] += result["failed"]
-            ops[side][1] += result["attempted"]
-            ops[side][2] = ops[side][2] and result["correct"]
+            ops[side][1] = ops[side][1] and result["correct"]
+            runs[side].append(result["attempted"])
             for name in names:
                 values[side][name].append(result["metrics"][name]["value"])
     lines = [f"{workload}: {PAIRS} pairs, seeds 101-{100 + PAIRS}, parent {other}"]
-    lines += [f"  {side}: failed {f}/{a}, correct {c}" for side, (f, a, c) in ops.items()]
+    lines += [f"  {side}: failed {f}/{sum(runs[side])}, correct {c}" for side, (f, c) in ops.items()]
     for metric in bench["end_to_end"]:
         name = metric["name"]
         a, b = values["parent"][name], values["change"][name]
@@ -150,9 +172,10 @@ def pairs(other: Path, workload: str) -> list[str]:
         ratio = sb["median"] / sa["median"] if sa["median"] else float("inf")
         lower = metric["better"] == "lower"
         wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
+        note = ops_note(name, *(statistics.median(runs[side]) for side in sides))
         lines.append(
             f"  {name:12s} {sa['median']:.4g} [{sa['q1']:.4g}, {sa['q3']:.4g}] -> "
-            f"{sb['median']:.4g} [{sb['q1']:.4g}, {sb['q3']:.4g}] {metric['unit']}  "
+            f"{sb['median']:.4g} [{sb['q1']:.4g}, {sb['q3']:.4g}] {metric['unit']}{note}  "
             f"x{ratio:.3g}  change better in {wins} of {PAIRS}"
         )
     return lines
