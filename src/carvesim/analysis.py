@@ -290,15 +290,25 @@ def gaussian_lifetime_fit(times, fidelities, baseline: float = 0.5) -> float:
     amp0 = y[np.argmin(times)]
     rel = y / amp0 if amp0 != 0 else np.zeros_like(fids)
     # rel is exactly 1 at the earliest sample; when no later sample stands above
-    # the baseline (on F0's side of it), the decay is over before the second
-    # sample and the data cannot fix tau
-    if amp0 != 0 and np.count_nonzero(rel > 0) == 1:
+    # the baseline (on F0's side of it) by more than the one ulp that rounding
+    # can leave, the decay is over before the second sample and the data
+    # cannot fix tau
+    above = (rel > 0) & (np.abs(y) > np.spacing(abs(baseline)))
+    if amp0 != 0 and np.count_nonzero(above) <= 1:
         raise FitFailedError(
             "lifetime fit failed: no sample after the earliest stands above the "
             "baseline, so the time window is too coarse to resolve the decay"
         )
     usable = (rel > 1e-6) & (rel < 1.0) & (times > 0)
-    slope = np.polyfit(times[usable] ** 2, np.log(rel[usable]), 1)[0] if np.any(usable) else 0
+    slope = 0.0
+    if np.count_nonzero(usable) > 1:
+        slope = np.polyfit(times[usable] ** 2, np.log(rel[usable]), 1)[0]
+    elif np.any(usable):
+        # one usable sample: the line through it and the earliest sample, where
+        # rel is 1 (a least-squares line through one point is rank-deficient)
+        (t1,), (r1,) = times[usable], rel[usable]
+        dx = t1**2 - times.min() ** 2
+        slope = math.log(r1) / dx if dx > 0 else 0.0
     log_tau = -0.5 * math.log(-slope) if slope < 0 else math.log(np.max(np.abs(times)))
 
     def fit_at(log_tau):  # x = t^2 / tau^2, e = exp(-x), amplitude, residual, cost

@@ -490,18 +490,39 @@ class MonteCarloResult:
     records: dict[str, np.ndarray]
 
 
+_DRAW_BLOCK = 2048  # trials per block of draws: 2 048 rows of 7 doubles is about 115 KB
+
+
+def _draw_columns(seed: int, trials: int, width: int) -> np.ndarray:
+    """Generator(Philox(key=seed)).random((trials, width)).T, as a C-contiguous array.
+
+    Generator.random makes each double from one 64-bit Philox output x as
+    (x >> 11) * 2**-53, in row order. Here the raw outputs are drawn one block
+    of trials at a time and written transposed, so every column is contiguous
+    and no (trials, width) array of doubles forms.
+    """
+    bits = np.random.Philox(key=seed)
+    cols = np.empty((width, trials))
+    for start in range(0, trials, _DRAW_BLOCK):
+        rows = min(_DRAW_BLOCK, trials - start)
+        raw = bits.random_raw(rows * width).reshape(rows, width)
+        np.multiply(raw.T >> 11, 2.0**-53, out=cols[:, start : start + rows])
+    return cols
+
+
 def _photon_counts(cdf: np.ndarray, node: np.ndarray, u: np.ndarray) -> np.ndarray:
     """How many entries of cdf[node[t]] lie below u[t], for each trial t.
 
     Each cdf row is a cumsum of nonnegative terms, so it never decreases, and
     the count is searchsorted(side="left") on the row: the same comparisons
-    on the same floats as comparing u with the whole row. Every trial tests
-    column 0; the trials past it are grouped by node with one stable argsort
-    and searched one node at a time, so no (trials, row width) array forms.
+    on the same floats as comparing u with the whole row. The trials are
+    grouped by node with one argsort and searched one node at a time, so no
+    (trials, row width) array forms; each count is one trial's own search, so
+    the order within a group does not matter. monte_carlo_run passes only the
+    trials whose draw is past column 0.
     """
-    counts = np.zeros(len(u), dtype=np.int64)
-    past = np.flatnonzero(cdf[node, 0] < u)
-    order = past[np.argsort(node[past], kind="stable")]
+    counts = np.empty(len(u), dtype=np.int64)
+    order = np.argsort(node)
     for group in np.split(order, np.flatnonzero(np.diff(node[order])) + 1):
         if group.size:
             counts[group] = np.searchsorted(cdf[node[group[0]]], u[group])
@@ -517,14 +538,15 @@ def monte_carlo_run(
 ) -> MonteCarloResult:
     """Trajectory simulation of a protocol, deterministic in (seed, trial).
 
-    Every trial consumes a fixed row of counter-based uniform draws. A
-    trial's state depends only on its record so far: the initial basis
-    state, then n_d for each pulse. node indexes each trial into a stack of
-    those prefix states, so each reached prefix is rotated and carved once
-    for all trials that share it. Each count draw is tested against column
-    0 of its node's cdf row, and only the trials past it are searched, one
-    reached node at a time (_photon_counts). The counts come from carve_step's
-    count table, so the MC covers the exact channel's nbar range.
+    Every trial consumes a fixed row of counter-based uniform draws, held as
+    one contiguous column per draw (_draw_columns). A trial's state depends
+    only on its record so far: the initial basis state, then n_d for each
+    pulse. node indexes each trial into a stack of those prefix states, so
+    each reached prefix is rotated and carved once for all trials that share
+    it. A trial clicks when its count draw passes column 0 of its node's cdf
+    row, and only the clicked trials are searched, one reached node at a
+    time (_photon_counts). The counts come from carve_step's count table, so
+    the MC covers the exact channel's nbar range.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -533,18 +555,20 @@ def monte_carlo_run(
     prep, ops = _build_ops(protocol)
     n_pulses = protocol.n_pulses
 
-    diag0 = prepare(prep).rho.diagonal().real
     width = tables.n_max + 1
     target_vec = bell_vector(protocol.target)
+    draws = _draw_columns(seed, trials, 1 + 3 * n_pulses)
 
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    draws = gen.random((trials, 1 + 3 * n_pulses))
-
-    node = np.searchsorted(np.cumsum(diag0), draws[:, 0]).clip(0, 3)
+    # the initial basis state: how many of the first three cumulative
+    # populations lie below the trial's draw
+    cum = np.cumsum(prepare(prep).rho.diagonal().real)
+    node = (cum[0] < draws[0]).astype(np.int64)
+    node += cum[1] < draws[0]
+    node += cum[2] < draws[0]
     states = np.zeros((4, 4, 4), dtype=complex)
     states[np.arange(4), np.arange(4), np.arange(4)] = 1.0
-    heralds = np.zeros((trials, n_pulses), dtype=bool)
-    any_event = np.zeros((trials, n_pulses), dtype=bool)
+    heralds = np.empty((n_pulses, trials), dtype=bool)
+    any_event = np.empty((n_pulses, trials), dtype=bool)
     n_d = np.zeros((trials, n_pulses), dtype=np.int64)
     k = 0  # pulse index
     for op in ops:
@@ -552,14 +576,20 @@ def monte_carlo_run(
             u2 = _pair_unitary(op[1])
             states = np.einsum("ab,nbc,dc->nad", u2, states, u2.conj())
             continue
-        u_count, u_dark, u_a = draws[:, 1 + 3 * k : 4 + 3 * k].T
+        u_count, u_dark, u_a = draws[1 + 3 * k : 4 + 3 * k]
         diag = np.einsum("nii->ni", states).real.clip(min=0.0)
         cdf = np.cumsum(diag @ tables.pmf, axis=1)  # (nodes, n_max + 1)
-        nd = _photon_counts(cdf, node, u_count).clip(0, tables.n_max)
-        herald = (nd >= 1) | (u_dark < tables.dark)
+        # a trial detects n_d >= 1 photons exactly when its draw passes column 0
+        clicked = cdf[:, 0][node] < u_count
+        np.less(u_dark, tables.dark, out=heralds[k])
+        heralds[k] |= clicked
+        hit = np.flatnonzero(clicked)
+        nd = np.minimum(_photon_counts(cdf, node[hit], u_count[hit]), tables.n_max)
+        n_d[hit, k] = nd
         # number the reached (node, nd) pairs with a presence mask, without
         # sorting; they become the next stack of prefix states
-        pair = node * width + nd
+        pair = node * width
+        pair[hit] += nd
         present = np.zeros(len(states) * width, dtype=bool)
         present[pair] = True
         node = (np.cumsum(present) - 1)[pair]
@@ -567,9 +597,8 @@ def monte_carlo_run(
         w = diag[parent] * tables.pmf[:, count].T  # branch weights given the d count
         wsum = w.sum(axis=1)
         p_no_a = (w @ tables.p_no_a) / np.where(wsum > 0, wsum, 1.0)
-        heralds[:, k] = herald
-        any_event[:, k] = herald | (u_a < 1.0 - p_no_a[node])
-        n_d[:, k] = nd
+        np.less(u_a, (1.0 - p_no_a)[node], out=any_event[k])
+        any_event[k] |= heralds[k]
         states = states[parent] * tables.count[count]
         tr = np.einsum("nii->n", states).real
         states = states / np.maximum(tr, 1e-300)[:, None, None]
@@ -579,16 +608,18 @@ def monte_carlo_run(
     alive = np.ones(trials, dtype=bool)
     step_reached, step_any, step_her = [], [], []
     for p in range(n_pulses):
-        step_reached.append(int(alive.sum()))
-        step_any.append(int((any_event[:, p] & alive).sum()))
-        step_her.append(int((heralds[:, p] & alive).sum()))
-        alive &= heralds[:, p]
-    heralded = int(alive.sum())
+        step_reached.append(int(np.count_nonzero(alive)))
+        step_any.append(int(np.count_nonzero(any_event[p] & alive)))
+        step_her.append(int(np.count_nonzero(heralds[p] & alive)))
+        alive &= heralds[p]
+    kept_at = np.flatnonzero(alive)
+    heralded = len(kept_at)
     success = 1.0
     for a, h in zip(step_any, step_her):
         success *= h / a if a > 0 else np.nan
-    fid = np.where(alive, leaf_fid[node], np.nan)
-    kept = fid[alive]
+    kept = leaf_fid[node[kept_at]]
+    fid = np.full(trials, np.nan)
+    fid[kept_at] = kept
     mean_f = float(kept.mean()) if heralded else float("nan")
     stderr = float(kept.std(ddof=1) / math.sqrt(heralded)) if heralded > 1 else float("nan")
     return MonteCarloResult(
@@ -602,5 +633,10 @@ def monte_carlo_run(
         step_reached=tuple(step_reached),
         step_any_event=tuple(step_any),
         step_heralds=tuple(step_her),
-        records={"herald": heralds, "any_event": any_event, "n_d": n_d, "fidelity": fid},
+        records={
+            "herald": np.stack(heralds, axis=1),
+            "any_event": np.stack(any_event, axis=1),
+            "n_d": n_d,
+            "fidelity": fid,
+        },
     )

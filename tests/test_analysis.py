@@ -310,6 +310,28 @@ def test_lifetime_fit_rejects_a_window_whose_later_samples_sit_at_the_baseline()
     assert np.isfinite(gaussian_lifetime_fit(times, below))
 
 
+def test_lifetime_fit_takes_a_sample_one_ulp_from_the_baseline_as_at_it():
+    # the second sample rounds to one ulp above the baseline and the third to
+    # the baseline: nothing after the earliest resolves the decay
+    times = np.array([0.0, 100.0, 200.0])
+    fids = np.array([0.9, np.nextafter(0.5, 1.0), 0.5])
+    for data in (fids, 1.0 - fids):
+        with pytest.raises(FitFailedError, match="too coarse to resolve the decay"):
+            gaussian_lifetime_fit(times, data)
+
+
+def test_lifetime_fit_from_one_usable_sample_starts_on_the_line_through_it():
+    # only the second sample lies between the earliest and the 1e-6 floor of
+    # the log-linear start, which then takes the line through those two
+    # samples instead of a rank-deficient least-squares line
+    times = np.array([0.0, 100.0, 600.0])
+    for tau in (90.0, 134.0):
+        fids = 0.5 + 0.4 * np.exp(-((times / tau) ** 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gaussian_lifetime_fit(times, fids) == pytest.approx(tau, abs=1e-9)
+
+
 def test_singlet_outlives_triplet_outlives_phi():
     # common-mode noise dominates: uu-dd coherences die first
     noise = NoiseModel(sigma_common_2pi_khz=5.0, sigma_diff_2pi_khz=0.5)

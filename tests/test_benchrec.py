@@ -84,3 +84,30 @@ def test_record_keeps_ops_per_run_and_compare_shows_its_median_beside_peak_rss(
     assert len(rss) == len(names)
     assert all("MB (ops/run 100 -> 120)  x1.02" in line for line in rss)
     assert sum("ops/run" in line for line in lines) == len(rss)
+
+
+def test_pairs_give_each_metric_a_verdict(monkeypatch, tmp_path):
+    def fake_run_once(workload, seed, root):
+        side = 0 if root == tmp_path else 1
+        i = seed - 101
+        values = {
+            # the median 33% worse, against a 0.25 bound
+            "setup_s": (0.30, 0.40)[side],
+            # better in 10 of 10, but by 1 ms against parent quartiles 20 ms apart
+            "op_p50_ms": 100.0 + 4 * i - side,
+            # the parent alternates 4 and 8 ms: its quartile spread is 67% of its median
+            "op_tail_ms": (4.0 + 4 * (i % 2), 6.0)[side],
+            # better in 10 of 10 by 70 against a parent spread of 0
+            "ops_per_s": (180.0, 250.0)[side],
+            "peak_rss_mb": (45.0, 46.0)[side],
+        }
+        metrics = {name: {"value": v, "unit": "x"} for name, v in values.items()}
+        return {}, {"attempted": 10, "failed": 0, "correct": True, "metrics": metrics}
+
+    monkeypatch.setattr(benchrec, "run_once", fake_run_once)
+    rows = {line.split()[0]: line for line in benchrec.pairs(tmp_path, "mc_bulk")[3:]}
+    assert rows["setup_s"].endswith("  worse: change better in 0 of 10")
+    assert rows["op_p50_ms"].endswith("  within bound: change better in 10 of 10")
+    assert rows["op_tail_ms"].endswith("  unresolved: change better in 5 of 10")
+    assert rows["ops_per_s"].endswith("  gain holds: change better in 10 of 10")
+    assert rows["peak_rss_mb"].endswith("  within bound: change better in 0 of 10")

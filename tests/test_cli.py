@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +248,31 @@ def test_lifetime_on_a_too_coarse_window_is_exit_2_saying_so(tmp_path, capsys, r
     assert main(["lifetime", "--t-max", "5000", "--points", "10", "--out", str(out)]) == 0
     report = json.loads((tmp_path / "life.json").read_text())
     assert report["tau_us"] == pytest.approx(134.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("target", ["psi_plus", "psi_minus"])
+def test_lifetime_one_ulp_above_the_baseline_is_too_coarse(target, capsys, recwarn):
+    # the second of 40 samples is one ulp above 0.5, the rest sit at it
+    argv = ["lifetime", "--target", target, "--t-max", "31622.776601683792", "--points", "40"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: lifetime fit failed: ")
+    assert "too coarse to resolve the decay" in captured.err
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("t_max, points", [("800", "3"), ("1200", "5")])
+def test_lifetime_from_one_usable_sample_warns_nothing(t_max, points, tmp_path, capsys):
+    # one sample lies between the earliest and the baseline: no rank-deficient
+    # polyfit, so nothing reaches stderr
+    out = tmp_path / "life.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["lifetime", "--t-max", t_max, "--points", points, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "life.json").read_text())
+    assert report["tau_us"] == pytest.approx(134.0, abs=1e-9)
 
 
 def test_detect_matrix(capsys):

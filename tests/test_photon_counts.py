@@ -1,5 +1,6 @@
-"""The photon-count table both engines read, and the MC's sampler of it
-against the broadcast comparison it replaced."""
+"""The photon-count table both engines read, the MC's sampler of it against
+the broadcast comparison it replaced, and the MC's draw columns against the
+Generator draws they lay out."""
 
 import math
 
@@ -10,7 +11,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from carvesim import CavityParams, PulseConfig, ReflectionModel
-from carvesim.protocols import _log_poisson, _photon_counts, _PulseTables
+from carvesim.protocols import (
+    _DRAW_BLOCK,
+    _draw_columns,
+    _log_poisson,
+    _photon_counts,
+    _PulseTables,
+)
 
 
 @st.composite
@@ -44,6 +51,26 @@ def test_photon_counts_equal_the_broadcast_comparison(case):
     n_max = cdf.shape[1] - 1
     want = np.sum(cdf[node] < u[:, None], axis=1).clip(0, n_max)
     assert np.array_equal(_photon_counts(cdf, node, u).clip(0, n_max), want)
+    # as monte_carlo_run calls it: only the trials past column 0 are searched,
+    # the rest keep a count of zero
+    hit = np.flatnonzero(cdf[node, 0] < u)
+    got = np.zeros(len(u), dtype=np.int64)
+    got[hit] = np.minimum(_photon_counts(cdf, node[hit], u[hit]), n_max)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", [0, 2**63])
+@pytest.mark.parametrize("width", [4, 7])
+@pytest.mark.parametrize(
+    "trials", [1, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, 3 * _DRAW_BLOCK + 5]
+)
+def test_draw_columns_are_the_generator_draws_transposed(trials, width, seed):
+    # pins (x >> 11) * 2**-53 of the raw Philox outputs to Generator.random
+    want = np.random.Generator(np.random.Philox(key=seed)).random((trials, width)).T
+    got = _draw_columns(seed, trials, width)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.flags.c_contiguous
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 @st.composite

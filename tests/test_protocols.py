@@ -412,11 +412,10 @@ def test_monte_carlo_is_deterministic():
 
 
 # sha256 of each record array and the reprs of the summaries, computed with
-# the per-trial engine that carried a density matrix for every trial; 20 000
-# trials each
+# the per-trial engine that carried a density matrix for every trial
 PINNED_RECORDS = [
     (
-        ProtocolSpec("double", BellKind.PSI_PLUS), 77, PulseConfig(),
+        ProtocolSpec("double", BellKind.PSI_PLUS), 77, 20000, PulseConfig(),
         {
             "herald": "20e3f11d328b9100b5f8fd341dcd7c7aed3f92ba317d0dc619a504ebf5ae60e4",
             "any_event": "e655610e376c60a5547f7d71faba05a081c06330bc8e51ed50c706077825a3c5",
@@ -426,7 +425,7 @@ PINNED_RECORDS = [
         "0.7845020984751865", "0.02029775461908819",
     ),
     (
-        ProtocolSpec("double", BellKind.PSI_MINUS), 9100, PulseConfig(),
+        ProtocolSpec("double", BellKind.PSI_MINUS), 9100, 20000, PulseConfig(),
         {
             "herald": "f3fe8fbe144ad8978cacb5c4d474f53c0a55f12d00609984183296ffc7243db6",
             "any_event": "899c3a8266e96050fb1554ccb6b863155fb5baae3c9448a4c33877488447e8b8",
@@ -436,7 +435,7 @@ PINNED_RECORDS = [
         "0.701904957233355", "0.029286417745590633",
     ),
     (
-        ProtocolSpec("single", BellKind.PHI_MINUS, alpha=np.pi / 2), 9, PulseConfig(),
+        ProtocolSpec("single", BellKind.PHI_MINUS, alpha=np.pi / 2), 9, 20000, PulseConfig(),
         {
             "herald": "a359fadd605f787f5a516067e13c98eee462e0449f455ccf2395f30f2138c0fd",
             "any_event": "f75ba353f2a8f3065cfd23724550bae356c53c3d60e8f3fde67cbd279a5074c3",
@@ -446,7 +445,7 @@ PINNED_RECORDS = [
         "0.5856911351219491", "0.001554768223369801",
     ),
     (
-        ProtocolSpec("double", BellKind.PSI_PLUS), 2024, PulseConfig(nbar=30.0),
+        ProtocolSpec("double", BellKind.PSI_PLUS), 2024, 20000, PulseConfig(nbar=30.0),
         {
             "herald": "2e5039db5edfd80127e3935433db80520a73bf328233de509bf96e2c0c9437f5",
             "any_event": "aee68be1fd21e43192d0c439736f0a7f6119b3fb8cae3dac522fcb3633b0621e",
@@ -459,7 +458,7 @@ PINNED_RECORDS = [
     # count draw with its node's whole cdf row; at nbar = 250 most trials
     # draw a count and hundreds of prefix nodes are reached
     (
-        ProtocolSpec("double", BellKind.PSI_PLUS), 250, PulseConfig(nbar=250.0),
+        ProtocolSpec("double", BellKind.PSI_PLUS), 250, 20000, PulseConfig(nbar=250.0),
         {
             "herald": "f49e5f7670e288516d82262a5465053281c288fa7ac683d45db56546d7005531",
             "any_event": "fb67091504b666f393f1530f351a3fa5ae5168228b9aa06dcce5835be0402356",
@@ -468,11 +467,74 @@ PINNED_RECORDS = [
         },
         "0.4941106601999406", "0.0005367125321665498",
     ),
+    # computed while the MC drew one row-major (trials, draws) matrix, before
+    # it filled its draw columns 2 048 trials at a time; one block less one,
+    # one block and one block plus one
+    (
+        ProtocolSpec("double", BellKind.PSI_PLUS), 77, 2047, PulseConfig(),
+        {
+            "herald": "878b8f09a1762759e01861c37637502ba4b1d2590fe530d817743402c5d6c1b1",
+            "any_event": "abc0c9ede5c85ba068024a13fc775712ade5fc57ffaa1cd61b872823b5ceab12",
+            "n_d": "3ca8b48d306e113b812cffded33c68b2eb509bfe1aca65fc2fe795f29546de78",
+            "fidelity": "22316bd84a3e04e4459a3358a56b33d20d0bd40364e1e4ed2c7535dc7f40cce3",
+        },
+        "0.689024661334546", "0.059761177313144724",
+    ),
+    (
+        ProtocolSpec("double", BellKind.PSI_PLUS), 77, 2048, PulseConfig(),
+        {
+            "herald": "fdb872906da7b6586eddbe03cf82c618d14b34f299ce43d7eb4969c8a2f2d1cb",
+            "any_event": "fa6249a44a72ac7f76146a0e8e6b289baccba5b011104a223d4e9af413fda111",
+            "n_d": "844657276c63df9865f4573730207895cb71051412a56effcf5462a353e123bd",
+            "fidelity": "a411b0cfb9cb70095f013d52ed8fee2608800ed44b2c5ee0d67ef1a0623aead6",
+        },
+        "0.689024661334546", "0.059761177313144724",
+    ),
+    (
+        ProtocolSpec("double", BellKind.PSI_PLUS), 77, 2049, PulseConfig(),
+        {
+            "herald": "7307169488ac218cc29f9f1adf9cc0a6c90c3495f120066c9439c6e14b399f5d",
+            "any_event": "121043aa59cc27933a1811a8a81b712c11802bae1a10a43e1b6597d3cf25a285",
+            "n_d": "11aa74bc06b623eeba540be2fe4907a75f912b49fbb7b317bb59d21fd064d28e",
+            "fidelity": "d329a727e827cc5bb55552c293eaee578fb0bff85ddb9ccffdcc4862915edd82",
+        },
+        "0.689024661334546", "0.059761177313144724",
+    ),
+    (
+        ProtocolSpec("single", BellKind.PHI_MINUS, alpha=np.pi / 2), 9, 2047, PulseConfig(),
+        {
+            "herald": "781148051c922e863dd8a7c6aece8793593129f199f09cb266cb44d86fe73feb",
+            "any_event": "a8b131b051f677ec031a36643754ea0b32113957cbb5b8db0fe974b3ea91d61a",
+            "n_d": "3f7eb28dc57747e4e6ec0e67c550a61b2df989494f23e475a861bc97f3b1dde6",
+            "fidelity": "ff941dee5edfab3567a4bd1b6b010f93f1c0b3450bf0a70d46363c3b3ffb075c",
+        },
+        "0.5829480270847058", "0.005274269494780199",
+    ),
+    (
+        ProtocolSpec("single", BellKind.PHI_MINUS, alpha=np.pi / 2), 9, 2048, PulseConfig(),
+        {
+            "herald": "f9b53a951728c4b2953d67685248089a0051ebcd1639e9c9029094e39833da4e",
+            "any_event": "9ce09f7408b8ec9ae99455960a43d1e2362aa0cedd9b5bf231c0f4fa1dd3524d",
+            "n_d": "66570211c639227b93ac2440603f34df5490c2de2ff70a388a3c8b489a2ac904",
+            "fidelity": "56056c6350a7637ca4e48fde4b7629eec0c1f795b21953574ee22a7227a8eae9",
+        },
+        "0.5829480270847058", "0.005274269494780199",
+    ),
+    (
+        ProtocolSpec("single", BellKind.PHI_MINUS, alpha=np.pi / 2), 9, 2049, PulseConfig(),
+        {
+            "herald": "8c5199125e54daa199a726db2a6163e587ab50edfd160a913058ec18ff05e32e",
+            "any_event": "fcafe9d00c0cdfb6d603a30b5b4a4eaabc35ba6a976bd5ae097bf1323741fa5f",
+            "n_d": "6f52f480324e820e5f5160d8c42a4c93489cda844dbee0aaf7e07e7f63716647",
+            "fidelity": "a53aa6c5da075e375fbb9c8032c4b1c16c38d0525942b5085a3cb85ee5ad7763",
+        },
+        "0.5829480270847058", "0.005274269494780199",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "spec, seed, pulse, digests, mean, stderr",
+    "spec, seed, trials, pulse, digests, mean, stderr",
     PINNED_RECORDS,
     ids=[
         "double-psi_plus-77",
@@ -480,10 +542,16 @@ PINNED_RECORDS = [
         "single-phi_minus-9",
         "double-nbar30-2024",
         "double-nbar250-250",
+        "double-psi_plus-77-2047",
+        "double-psi_plus-77-2048",
+        "double-psi_plus-77-2049",
+        "single-phi_minus-9-2047",
+        "single-phi_minus-9-2048",
+        "single-phi_minus-9-2049",
     ],
 )
-def test_monte_carlo_records_are_pinned(spec, seed, pulse, digests, mean, stderr):
-    mc = monte_carlo_run(spec, 20000, seed, pulse)
+def test_monte_carlo_records_are_pinned(spec, seed, trials, pulse, digests, mean, stderr):
+    mc = monte_carlo_run(spec, trials, seed, pulse)
     got = {key: hashlib.sha256(mc.records[key].tobytes()).hexdigest() for key in digests}
     assert got == digests
     assert (repr(mc.mean_fidelity), repr(mc.fidelity_stderr)) == (mean, stderr)

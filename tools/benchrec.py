@@ -22,8 +22,12 @@ identical code (perfbench/README.md).
 
 pairs runs one workload in OTHER_CHECKOUT (the parent) and in this checkout
 in turn, ten pairs on seeds 101-110, the parent first on odd seeds, and
-prints per end-to-end metric both medians [Q1, Q3], the ratio and in how
-many pairs this checkout was better. The commands only read BENCHMARK.json and perfbench/.
+prints per end-to-end metric both medians [Q1, Q3], the ratio, a verdict and
+in how many pairs this checkout was better. The verdict is "gain holds"
+(better in at least 9 of 10 pairs, by more than the parent's Q3 - Q1),
+"worse" (the median worse by more than the metric's bound), "unresolved"
+(the parent's Q3 - Q1 wider than the bound) or "within bound". The commands
+only read BENCHMARK.json and perfbench/.
 
 compare and pairs print each side's median op count per run after
 peak_rss_mb: the worker holds a summary of every op, so the peak RSS also
@@ -176,9 +180,29 @@ def pairs(other: Path, workload: str) -> list[str]:
         lines.append(
             f"  {name:12s} {sa['median']:.4g} [{sa['q1']:.4g}, {sa['q3']:.4g}] -> "
             f"{sb['median']:.4g} [{sb['q1']:.4g}, {sb['q3']:.4g}] {metric['unit']}{note}  "
-            f"x{ratio:.3g}  change better in {wins} of {PAIRS}"
+            f"x{ratio:.3g}  {verdict(metric, sa, sb, wins)}: change better in {wins} of {PAIRS}"
         )
     return lines
+
+
+def verdict(metric: dict, parent: dict, change: dict, wins: int) -> str:
+    """What PAIRS alternating pairs show for one metric, given both sides' spreads.
+
+    "gain holds": the change is better in at least nine tenths of the pairs
+    and its median is better by more than the parent's quartile spread.
+    "worse": its median is worse by more than the metric's bound. "unresolved":
+    the parent's quartile spread is wider than the bound, so no smaller shift
+    can be told apart. Otherwise "within bound".
+    """
+    base = parent["median"]
+    gain = change["median"] - base if metric["better"] == "higher" else base - change["median"]
+    if 10 * wins >= 9 * PAIRS and gain > parent["q3"] - parent["q1"]:
+        return "gain holds"
+    if base and -gain / abs(base) > metric["bound"]:
+        return "worse"
+    if base and (parent["q3"] - parent["q1"]) / abs(base) > metric["bound"]:
+        return "unresolved"
+    return "within bound"
 
 
 def main(argv=None) -> int:
