@@ -1,10 +1,10 @@
 """Command-line front end: config ingestion, presets, CSV/JSON emission.
 
 Exit codes: 0 success, 1 config error, 2 runtime error (a protocol that never
-heralds, a failed fit, invalid run parameters, a numeric overflow). Every CSV
-starts with #-prefixed header lines naming the command, the config hash and
-the columns; JSON reports use sorted keys. Identical config and seed give
-byte-identical outputs.
+heralds, a failed fit, invalid run parameters, a numeric overflow, an array too
+large to allocate). Every CSV starts with #-prefixed header lines naming the
+command, the config hash and the columns; JSON reports use sorted keys.
+Identical config and seed give byte-identical outputs.
 
 Each cmd_* only computes: it returns a JSON report and a CSV table, either
 of which may be None. _inputs builds what a run simulates, and _run_command
@@ -267,6 +267,8 @@ def cmd_protocol(args, config: RunConfig):
 def cmd_sweep(args, config: RunConfig):
     if args.steps < 2:
         raise ValueError("sweep needs at least 2 steps")
+    if not math.isfinite(args.stop - args.start):
+        raise ValueError(f"sweep range {args.start!r} to {args.stop!r} is not finite")
     if not args.stop > args.start:
         raise ValueError("sweep range must be increasing")
     if args.variable == "alpha" and args.scheme == "double":
@@ -386,12 +388,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (
-        NeverHeraldsError,
-        FitFailedError,
-        ValueError,  # also UnderdeterminedScanError and NullBranchError
-        ArithmeticError,
-    ) as exc:
+    # ValueError also covers UnderdeterminedScanError and NullBranchError
+    except (NeverHeraldsError, FitFailedError, ValueError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -24,10 +24,9 @@ from .states import (
     BASIS_INDEX,
     N_UP,
     BellKind,
-    NullBranchError,
     RotationSpec,
     TwoAtomState,
-    _pair_unitary,
+    _rotate,
     bell_vector,
     global_rotation,
 )
@@ -40,8 +39,6 @@ class NeverHeraldsError(RuntimeError):
 PREP_KINDS = ("down_down", "antiparallel", "pure_uu", "pure_ud", "pure_du", "pure_dd")
 
 _PREP_DEFAULT_FIDELITY = {"down_down": 0.99, "antiparallel": 0.86}
-
-_MAX_FLOAT_FACTORIAL = 170  # the largest n whose n! is below the float maximum
 
 
 @dataclass(frozen=True)
@@ -192,6 +189,13 @@ class HeraldOutcome:
             raise ValueError("d_fraction out of [0, 1]")
 
 
+_HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
+# stirlerr(n) = log(n! / (sqrt(2 pi n) (n / e)**n)) for n = 1..15, below its series' range
+_SMALL_STIRLERR = tuple(
+    math.lgamma(k + 1) - (k + 0.5) * math.log(k) + k - _HALF_LOG_2PI for k in range(1, 16)
+)
+
+
 def _log_poisson(n_max: int, lam: np.ndarray) -> np.ndarray:
     """log(exp(-lam) lam**n / n!) for n = 0..n_max and each entry of a 2-d lam >= 0.
 
@@ -201,17 +205,15 @@ def _log_poisson(n_max: int, lam: np.ndarray) -> np.ndarray:
     plain n log(lam) - lgamma(n + 1) - lam is off by up to 4e-12.
     """
     lam = np.abs(lam)
-    half_log_2pi = 0.5 * math.log(2 * math.pi)
     n = np.arange(1, n_max + 1, dtype=float)[:, None, None]
     with np.errstate(divide="ignore", over="ignore"):
         bd0 = n * np.log1p((n - lam) / lam) - (n - lam)
-    # stirlerr(n) = log(n! / (sqrt(2 pi n) (n / e)**n)), by its asymptotic
-    # series from n = 16 (the first omitted term is below 2e-14)
+    # stirlerr by its asymptotic series from n = 16 (the first omitted term is
+    # below 2e-14), and from _SMALL_STIRLERR below that
     inv2 = 1.0 / n**2
     stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - inv2 / 1680) * inv2) * inv2) / n
-    for k in range(1, min(n_max, 15) + 1):
-        stirlerr[k - 1] = math.lgamma(k + 1) - (k + 0.5) * math.log(k) + k - half_log_2pi
-    return np.concatenate([-lam[None], -bd0 - stirlerr - half_log_2pi - 0.5 * np.log(n)])
+    stirlerr[: len(_SMALL_STIRLERR), 0, 0] = _SMALL_STIRLERR[:n_max]
+    return np.concatenate([-lam[None], -bd0 - stirlerr - _HALF_LOG_2PI - 0.5 * np.log(n)])
 
 
 class _PulseTables:
@@ -255,24 +257,15 @@ class _PulseTables:
         )
         overlap = np.exp(log_g)
         quad = np.exp(-0.5 * eta * (delta[:, None] ** 2 + delta[None, :] ** 2))
-        no_click = np.exp(-0.5 * eta * _sqdiff(delta))
+        log_no_click = -0.5 * eta * _sqdiff(delta)
+        no_click = np.exp(log_no_click)
 
         max_rate = float(np.max(eta * delta**2))
         n_max = max(8, int(math.ceil(max_rate + 12.0 * math.sqrt(max_rate + 1.0))))
-        # count[n] = overlap * quad * amp**n / n!, one n at a time so the MC's
-        # records keep their bits, wherever that is finite and overlap * quad
-        # is a normal float; elsewhere (n > 170, amp**n overflowing, or
-        # eta * delta**2 past about 708) it is overlap * no_click times the
-        # Poisson weight of n at mean amp, taken in logs
+        # count[n] = overlap * quad * amp**n / n!, in logs: overlap * no_click times
+        # the Poisson weight of n at mean amp, finite where n! or amp**n are not
         amp = eta * np.outer(delta, delta)
-        head = overlap * quad
-        per_n = min(n_max, _MAX_FLOAT_FACTORIAL) + 1
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.count = np.stack([head * amp**n / math.factorial(n) for n in range(per_n)])
-        held = np.isfinite(self.count) & (head >= np.finfo(float).tiny)
-        if per_n <= n_max or not held.all():
-            logs = np.exp(log_g - 0.5 * eta * _sqdiff(delta) + _log_poisson(n_max, amp))
-            self.count = np.concatenate([np.where(held, self.count, logs[:per_n]), logs[per_n:]])
+        self.count = np.exp(log_g + log_no_click + _log_poisson(n_max, amp))
         self.pmf = np.diagonal(self.count, axis1=1, axis2=2).T.copy()
         self.n_max = n_max
         self.herald_mult = overlap * (no_click - (1.0 - dark) * quad)
@@ -538,7 +531,7 @@ def monte_carlo_run(
 ) -> MonteCarloResult:
     """Trajectory simulation of a protocol, deterministic in (seed, trial).
 
-    Every trial consumes a fixed row of counter-based uniform draws, held as
+    Every trial consumes a fixed row of counter-based uniform draws, kept as
     one contiguous column per draw (_draw_columns). A trial's state depends
     only on its record so far: the initial basis state, then n_d for each
     pulse. node indexes each trial into a stack of those prefix states, so
@@ -573,8 +566,7 @@ def monte_carlo_run(
     k = 0  # pulse index
     for op in ops:
         if op[0] == "rotate":
-            u2 = _pair_unitary(op[1])
-            states = np.einsum("ab,nbc,dc->nad", u2, states, u2.conj())
+            states = _rotate(states, op[1])
             continue
         u_count, u_dark, u_a = draws[1 + 3 * k : 4 + 3 * k]
         diag = np.einsum("nii->ni", states).real.clip(min=0.0)

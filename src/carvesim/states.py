@@ -178,10 +178,18 @@ def _pair_unitary_of(axis, angle) -> np.ndarray:
     return u2
 
 
+def _rotate(rho: np.ndarray, spec: RotationSpec) -> np.ndarray:
+    """(U x U) rho (U x U)^dag of a (4, 4) or (n, 4, 4) array, made exactly Hermitian
+    by TwoAtomState's own ufuncs, so each matrix has global_rotation's bits."""
+    u2 = _pair_unitary(spec)
+    out = u2 @ rho @ u2.conj().T
+    np.add(out, np.swapaxes(out, -1, -2).conj(), out=out)
+    return np.multiply(0.5, out, out=out)
+
+
 def global_rotation(state: TwoAtomState, spec: RotationSpec) -> TwoAtomState:
     """Apply the same rotation to both atoms: rho -> (U x U) rho (U x U)^dag."""
-    u2 = _pair_unitary(spec)
-    return TwoAtomState(u2 @ state.rho @ u2.conj().T)
+    return TwoAtomState(_rotate(state.rho, spec))
 
 
 def populations(state: TwoAtomState) -> tuple[float, float, float]:

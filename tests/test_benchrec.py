@@ -111,3 +111,61 @@ def test_pairs_give_each_metric_a_verdict(monkeypatch, tmp_path):
     assert rows["op_tail_ms"].endswith("  unresolved: change better in 5 of 10")
     assert rows["ops_per_s"].endswith("  gain holds: change better in 10 of 10")
     assert rows["peak_rss_mb"].endswith("  within bound: change better in 0 of 10")
+
+
+def test_bytes_runs_each_case_in_both_checkouts_and_names_the_first_difference(
+    monkeypatch, tmp_path
+):
+    same = {"exit code": "0", "stdout": "a\nb\nc\n", "stderr": ""}
+    parent = {name: same for name in benchrec.BYTE_CASES}
+    parent["protocol --out r.json"] = {**same, "file r.csv": "y\n", "file r.json": "x\n"}
+    parent["parity --out p.csv"] = {**same, "file p.csv": "z\n", "file p.json": "w\n"}
+    change = {
+        **parent,
+        "protocol": {**same, "stdout": "a\nB\nC\n"},
+        "husimi": {**same, "exit code": "2", "stdout": ""},
+        "detect": {**same, "stdout": "a\nb\n"},
+        "sweep": {**same, "stdout": "a\nb\nc"},
+        "protocol --out r.json": {**same, "file r.csv": "Y\n", "file r.json": "x\n"},
+        "parity --out p.csv": {**same, "file p.csv": "z\n"},
+    }
+    names = {tuple(args): name for name, args in benchrec.BYTE_CASES.items()}
+    calls = []
+
+    def fake_run_case(args, root):
+        calls.append((names[tuple(args)], root))
+        return (change if root == benchrec.ROOT else parent)[names[tuple(args)]]
+
+    monkeypatch.setattr(benchrec, "run_case", fake_run_case)
+    lines = benchrec.compare_bytes(tmp_path)
+    # the parent first, then this checkout, case by case
+    assert calls == [(name, root) for name in benchrec.BYTE_CASES
+                     for root in (tmp_path, benchrec.ROOT)]
+    rows = dict(line.split(": ", 1) for line in lines)
+    assert list(rows) == list(benchrec.BYTE_CASES)
+    assert rows["protocol"] == "stdout line 2: 'b\\n' -> 'B\\n' (2 of 3 lines differ)"
+    assert rows["husimi"] == "exit code 0 -> 2"
+    assert rows["detect"] == "stdout line 3: missing on one side (1 of 3 lines differ)"
+    assert rows["sweep"] == "stdout line 3: 'c\\n' -> 'c' (1 of 3 lines differ)"
+    assert rows["protocol --out r.json"] == "file r.csv line 1: 'y\\n' -> 'Y\\n' (1 of 1 lines differ)"
+    assert rows["parity --out p.csv"] == "file p.json only in the parent"
+    assert all(rows[name] == "same" for name in rows if change[name] is parent[name])
+
+
+def test_byte_cases_cover_every_command_and_protocol_pair():
+    cases = benchrec.BYTE_CASES
+    assert {args[0] for args in cases.values()} == {
+        "protocol", "sweep", "parity", "husimi", "lifetime", "detect"}
+    pairs = {("double", "psi_plus")} | {
+        (args[2], args[4]) for args in cases.values() if "--scheme" in args}
+    assert len(pairs) == 7
+    assert sum("--out" in args for args in cases.values()) == 3
+    assert ["protocol", "--ideal"] in cases.values()
+
+
+def test_run_case_captures_exit_code_streams_and_written_files():
+    got = benchrec.run_case(["lifetime", "--points", "5", "--out", "l.csv"], benchrec.ROOT)
+    assert set(got) == {"exit code", "stdout", "stderr", "file l.csv", "file l.json"}
+    assert (got["exit code"], got["stdout"], got["stderr"]) == ("0", "", "")
+    assert got["file l.csv"].startswith("# carvesim lifetime\n")
+    assert json.loads(got["file l.json"])["command"] == "lifetime"

@@ -79,11 +79,34 @@ def test_sweep_csv(tmp_path):
     assert data[0].split(",")[0] == "0.1"
 
 
-def test_sweep_rejects_bad_range():
+def test_sweep_rejects_bad_range(capsys, recwarn):
     assert main(["sweep", "--variable", "nbar", "--start", "0.5", "--stop", "0.1", "--steps", "3"]) == 2
     # double carving ignores alpha, so an alpha sweep of it would repeat one row
     assert main(["sweep", "--scheme", "double", "--variable", "alpha", "--start", "0.5",
                  "--stop", "2.5", "--steps", "3", "--trials", "100"]) == 2
+    capsys.readouterr()
+    # an infinite end would make linspace put NaN in the range
+    assert main(["sweep", "--variable", "nbar", "--start", "0.1", "--stop", "inf", "--steps", "3"]) == 2
+    assert capsys.readouterr().err == "error: sweep range 0.1 to inf is not finite\n"
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lifetime", "--points", "100000000000000"],
+        ["protocol", "--trials", "100000000000000"],
+        ["sweep", "--variable", "nbar", "--start", "0.1", "--stop", "0.7",
+         "--steps", "100000000000000"],
+    ],
+    ids=["lifetime", "protocol", "sweep"],
+)
+def test_an_array_too_large_to_allocate_is_exit_2(argv, capsys):
+    # each size is past the 128 TiB of a 64-bit address space, so the first
+    # large array fails to allocate before any memory is taken
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
 
 
 def _run_module(argv):

@@ -20,6 +20,7 @@ from carvesim.states import (
     BASIS_LABELS,
     N_UP,
     _pair_unitary,
+    _rotate,
     single_qubit_unitary,
 )
 
@@ -111,6 +112,29 @@ def test_pair_unitary_is_bitwise_kron(axis, make_state):
     st = make_state()
     expected = TwoAtomState(u2 @ st.rho @ u2.conj().T).rho
     assert np.array_equal(global_rotation(st, spec).rho, expected)
+
+
+# the rotations of the protocol op lists (y pi/2, y pi, x pi/2 and a single-
+# carving alpha), then three random azimuth / angle pairs
+OP_ROTATIONS = [("y", np.pi / 2), ("y", np.pi), ("x", np.pi / 2), ("y", 0.2)]
+RANDOM_ROTATIONS = [
+    (float(a), float(b)) for a, b in np.random.default_rng(5).uniform(0, 2 * np.pi, (3, 2))
+]
+
+
+@pytest.mark.parametrize("axis, angle", OP_ROTATIONS + RANDOM_ROTATIONS)
+@pytest.mark.parametrize("n", [1, 7, 49])
+def test_stacked_rotation_is_global_rotation_row_by_row(axis, angle, n, make_state):
+    # the Monte Carlo rotates its prefix stack with _rotate, the exact channel
+    # one state at a time with global_rotation: the bits must agree
+    spec = RotationSpec(axis, angle)
+    stack = np.stack([make_state(rank=1 + i % 4).rho for i in range(n)])
+    got = _rotate(stack, spec)
+    assert got.shape == (n, 4, 4)
+    assert np.array_equal(got, np.swapaxes(got, 1, 2).conj())
+    for rho, row in zip(stack, got):
+        assert row.tobytes() == global_rotation(TwoAtomState(rho), spec).rho.tobytes()
+    assert _rotate(stack[0], spec).tobytes() == got[0].tobytes()
 
 
 def test_half_pulse_from_down_down():

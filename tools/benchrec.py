@@ -5,6 +5,7 @@ Usage, from the root of a checkout:
     python3 tools/benchrec.py record LABEL
     python3 tools/benchrec.py compare A B
     python3 tools/benchrec.py pairs OTHER_CHECKOUT --workload W
+    python3 tools/benchrec.py bytes OTHER_CHECKOUT
 
 record runs `python3 perfbench/run.py --workload W --seed S --seconds 25
 --trace 0` for every workload named in BENCHMARK.json and seeds 101-103, one
@@ -29,6 +30,13 @@ in how many pairs this checkout was better. The verdict is "gain holds"
 (the parent's Q3 - Q1 wider than the bound) or "within bound". The commands
 only read BENCHMARK.json and perfbench/.
 
+bytes runs each CLI case of BYTE_CASES as `python3 -m carvesim ...` in a
+fresh directory, with the src/ of OTHER_CHECKOUT (the parent) and then of
+this checkout, and prints per case "same" or the first place the two runs
+differ: the exit code, then stdout, stderr and each written file, as the
+first differing line and the number of lines that differ. A change that
+claims to keep the CLI bytes shows "same" on every case.
+
 compare and pairs print each side's median op count per run after
 peak_rss_mb: the worker holds a summary of every op, so the peak RSS also
 grows with the op count, and a faster change reads a larger RSS without
@@ -40,9 +48,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,6 +60,23 @@ SEEDS = (101, 102, 103)
 SECONDS = 25
 PAIRS = 10  # the fewest alternating pairs that can back a claimed gain
 HOST_KEYS = ("python", "numpy", "scipy", "nproc", "blas_threads")
+BYTE_CASES = {  # name -> carvesim arguments
+    "protocol": ["protocol"],
+    "sweep": ["sweep", "--variable", "nbar", "--start", "0.1", "--stop", "0.7", "--steps", "3"],
+    "parity": ["parity"],
+    "husimi": ["husimi"],
+    "lifetime": ["lifetime"],
+    "detect": ["detect"],
+    # the other six scheme/target pairs; double psi_plus is protocol's default
+    **{f"protocol {scheme} {target}": ["protocol", "--scheme", scheme, "--target", target]
+       for scheme, target in [("double", "psi_minus"), ("double", "phi_plus"),
+                              ("double", "phi_minus"), ("single", "psi_plus"),
+                              ("single", "phi_plus"), ("single", "phi_minus")]},
+    "protocol --ideal": ["protocol", "--ideal"],
+    "protocol --out r.json": ["protocol", "--out", "r.json"],
+    "parity --out p.csv": ["parity", "--out", "p.csv"],
+    "lifetime --out l.csv": ["lifetime", "--out", "l.csv"],
+}
 
 
 def load_benchmark() -> dict:
@@ -205,6 +232,45 @@ def verdict(metric: dict, parent: dict, change: dict, wins: int) -> str:
     return "within bound"
 
 
+def run_case(args: list[str], root: Path) -> dict[str, str]:
+    """Exit code, stdout, stderr and the files written, of carvesim ARGS run
+    with the src/ of the checkout at root in an empty directory."""
+    def text(raw: bytes) -> str:  # every byte kept, line ends included
+        return raw.decode("utf-8", "backslashreplace")
+
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = subprocess.run([sys.executable, "-m", "carvesim", *args], cwd=cwd, env=env,
+                              capture_output=True)
+        files = {f"file {p.name}": text(p.read_bytes()) for p in sorted(Path(cwd).iterdir())}
+    return {"exit code": str(proc.returncode), "stdout": text(proc.stdout),
+            "stderr": text(proc.stderr), **files}
+
+
+def first_difference(parent: dict[str, str], change: dict[str, str]) -> str:
+    """The text "same", or where two run_case results first differ."""
+    for key in dict.fromkeys([*parent, *change]):
+        if key not in parent or key not in change:
+            return f"{key} only in the {'change' if key in change else 'parent'}"
+        if parent[key] == change[key]:
+            continue
+        if key == "exit code":
+            return f"exit code {parent[key]} -> {change[key]}"
+        a, b = parent[key].splitlines(keepends=True), change[key].splitlines(keepends=True)
+        diff = [i for i, (x, y) in enumerate(zip(a, b)) if x != y]
+        diff += range(min(len(a), len(b)), max(len(a), len(b)))
+        i = diff[0]
+        line = f"{a[i]!r} -> {b[i]!r}" if i < min(len(a), len(b)) else "missing on one side"
+        return f"{key} line {i + 1}: {line} ({len(diff)} of {max(len(a), len(b))} lines differ)"
+    return "same"
+
+
+def compare_bytes(other: Path) -> list[str]:
+    """Per case of BYTE_CASES, "same" or where the parent at other and this checkout differ."""
+    return [f"{name}: {first_difference(run_case(args, other), run_case(args, ROOT))}"
+            for name, args in BYTE_CASES.items()]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -217,11 +283,15 @@ def main(argv=None) -> int:
     p.add_argument("other", type=Path, help="root of the parent's checkout")
     p.add_argument("--workload", required=True,
                    choices=[w["name"] for w in load_benchmark()["workloads"]])
+    p = sub.add_parser("bytes", help="run the CLI cases in another checkout and this one")
+    p.add_argument("other", type=Path, help="root of the parent's checkout")
     args = parser.parse_args(argv)
     if args.command == "record":
         print(record(args.label))
     elif args.command == "compare":
         print("\n".join(compare(args.a, args.b)))
+    elif args.command == "bytes":
+        print("\n".join(compare_bytes(args.other.resolve())))
     else:
         print("\n".join(pairs(args.other.resolve(), args.workload)))
     return 0
