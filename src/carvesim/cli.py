@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("protocol", parents=[common], help="run one carving protocol")
     _add_protocol_args(p)
-    p.set_defaults(func=cmd_protocol, formats=("json", "csv"))
+    p.set_defaults(func=cmd_protocol, formats=("json", "csv"), sizes=("--trials",))
 
     p = sub.add_parser("sweep", parents=[common], help="sweep nbar or alpha")
     _add_protocol_args(p)
@@ -84,12 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.set_defaults(func=cmd_sweep, formats=("csv",))
+    p.set_defaults(func=cmd_sweep, formats=("csv",), sizes=("--trials", "--steps"))
 
     p = sub.add_parser("parity", parents=[common], help="parity scan of a protocol output")
     _add_protocol_args(p)
     p.add_argument("--n-phases", type=int, default=24)
-    p.set_defaults(func=cmd_parity, formats=("csv", "json"))
+    p.set_defaults(func=cmd_parity, formats=("csv", "json"), sizes=("--n-phases",))
 
     p = sub.add_parser("husimi", parents=[common], help="Husimi Q grid")
     _add_protocol_args(p)
@@ -99,17 +99,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate a named pure state instead of the protocol output",
     )
     p.add_argument("--resolution", default="60x120", help="grid as NTHETAxNPHI")
-    p.set_defaults(func=cmd_husimi, formats=("csv",))
+    p.set_defaults(func=cmd_husimi, formats=("csv",), sizes=("--resolution",))
 
     p = sub.add_parser("lifetime", parents=[common], help="dephasing curve and tau fit")
     p.add_argument("--target", choices=sorted(k.value for k in BellKind), default="psi_plus")
     p.add_argument("--t-max", type=float, default=300.0, help="last wait time in us")
     p.add_argument("--points", type=int, default=40)
-    p.set_defaults(func=cmd_lifetime, formats=("csv", "json"))
+    p.set_defaults(func=cmd_lifetime, formats=("csv", "json"), sizes=("--points",))
 
     p = sub.add_parser("detect", parents=[common], help="state-detection confusion matrix")
     p.add_argument("--rates-file", metavar="PATH", help="override detection count means")
-    p.set_defaults(func=cmd_detect, formats=("json",))
+    p.set_defaults(func=cmd_detect, formats=("json",), sizes=("--trials",))
     return parser
 
 
@@ -388,8 +388,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's text, then what sets the array sizes
+        print(f"error: {exc} ({args.command}: check {', '.join(args.sizes)})", file=sys.stderr)
+        return 2
     # ValueError also covers UnderdeterminedScanError and NullBranchError
-    except (NeverHeraldsError, FitFailedError, ValueError, ArithmeticError, MemoryError) as exc:
+    except (NeverHeraldsError, FitFailedError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

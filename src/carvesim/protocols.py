@@ -28,7 +28,6 @@ from .states import (
     TwoAtomState,
     _rotate,
     bell_vector,
-    global_rotation,
 )
 
 
@@ -77,9 +76,7 @@ class PreparationSpec:
         if self.kind not in PREP_KINDS:
             raise ValueError(f"unknown preparation kind {self.kind!r}")
         if self.prep_fidelity is None:
-            object.__setattr__(
-                self, "prep_fidelity", _PREP_DEFAULT_FIDELITY.get(self.kind, 1.0)
-            )
+            object.__setattr__(self, "prep_fidelity", _PREP_DEFAULT_FIDELITY.get(self.kind, 1.0))
         if not 0 <= self.prep_fidelity <= 1:
             raise ValueError("prep_fidelity must be in [0, 1]")
 
@@ -303,21 +300,21 @@ def carve_step(
     conditioned on at least one detected d photon or a dark count. cavity is
     the ReflectionModel of the cavity, None for the default CavityParams().
     """
-    return _carve(state, _PulseTables(_as_model(cavity), pulse or PulseConfig()))
+    return _carve(state.rho, _PulseTables(_as_model(cavity), pulse or PulseConfig()))
 
 
-def _carve(state: TwoAtomState, tables: _PulseTables) -> HeraldOutcome:
-    """carve_step with the pulse's tables built; run_protocol builds them once per run."""
-    if abs(state.trace_weight - 1.0) > 1e-9:
+def _carve(rho: np.ndarray, tables: _PulseTables) -> HeraldOutcome:
+    """carve_step on a raw (4, 4) rho with the pulse's tables built once per run."""
+    if abs(rho.trace().real - 1.0) > 1e-9:
         raise ValueError("carve_step needs a normalized input state")
-    diag = state.rho.diagonal().real
+    diag = rho.diagonal().real
     herald_prob = float(diag @ tables.herald_mult.diagonal().real)
     if herald_prob < 1e-15:
         raise NeverHeraldsError(
             "this pulse never heralds on the given state "
             "(no d amplitude and no dark counts)"
         )
-    heralded = TwoAtomState(state.rho * tables.herald_mult / herald_prob)
+    heralded = TwoAtomState(rho * tables.herald_mult / herald_prob)
     any_prob = float(diag @ (1.0 - tables.p_no_d * tables.p_no_a))
     d_fraction = herald_prob / any_prob if any_prob > 0 else 1.0
 
@@ -402,26 +399,36 @@ class ProtocolSpec:
 def _build_ops(spec: ProtocolSpec) -> tuple:
     """The one description of a protocol: its preparation and its op list.
 
-    Ops are ("rotate", RotationSpec) and ("pulse",); a Phi target ends the
-    list with the rotation that turns Psi+ into it. The exact channel
-    (run_protocol) and the Monte Carlo both walk this list.
+    Ops are ("rotate", RotationSpec) and ("pulse", k), k counting the pulses;
+    a Phi target ends the list with the rotation that turns Psi+ into it. The
+    exact channel and the Monte Carlo both walk this list with _walk.
     """
     if spec.scheme == "double":
         ops = [
             ("rotate", RotationSpec("y", np.pi / 2)),
-            ("pulse",),
+            ("pulse", 0),
             ("rotate", RotationSpec("y", np.pi)),
-            ("pulse",),
+            ("pulse", 1),
         ]
         prep = spec.prep
     else:
-        ops = [("rotate", RotationSpec("y", spec.alpha)), ("pulse",)]
+        ops = [("rotate", RotationSpec("y", spec.alpha)), ("pulse", 0)]
         prep = PreparationSpec("pure_dd")
     if spec.target is BellKind.PHI_MINUS:
         ops.append(("rotate", RotationSpec("y", np.pi / 2)))
     elif spec.target is BellKind.PHI_PLUS:
         ops.append(("rotate", RotationSpec("x", np.pi / 2)))
     return prep, ops
+
+
+def _walk(ops, states: np.ndarray, pulse_rule) -> np.ndarray:
+    """The one loop over an op list: rotate a raw (4, 4) or (n, 4, 4) array, or pulse it."""
+    for op in ops:
+        if op[0] == "rotate":
+            states = _rotate(states, op[1])
+        else:
+            states = pulse_rule(states, op[1])
+    return states
 
 
 def run_protocol(
@@ -432,19 +439,18 @@ def run_protocol(
     """Exact channel along the protocol's op list.
 
     The state is the last step's, rotated for a Phi target. cavity is a
-    ReflectionModel, or None for the default CavityParams(); it and the
-    pulse tables are built once for all pulses of the run.
+    ReflectionModel, or None for the default CavityParams(); it and the pulse
+    tables are built once per run. The states between ops stay raw arrays.
     """
     prep, ops = _build_ops(spec)
     tables = _PulseTables(_as_model(cavity), pulse or PulseConfig())
-    state = prepare(prep)
     steps = []
-    for op in ops:
-        if op[0] == "rotate":
-            state = global_rotation(state, op[1])
-        else:
-            steps.append(_carve(state, tables))
-            state = steps[-1].state
+
+    def carve(rho, k):
+        steps.append(_carve(rho, tables))
+        return steps[-1].state.rho
+
+    state = TwoAtomState(_walk(ops, prepare(prep).rho, carve))
     ideal = {}
     if spec.scheme == "single":
         ideal = {
@@ -563,11 +569,9 @@ def monte_carlo_run(
     heralds = np.empty((n_pulses, trials), dtype=bool)
     any_event = np.empty((n_pulses, trials), dtype=bool)
     n_d = np.zeros((trials, n_pulses), dtype=np.int64)
-    k = 0  # pulse index
-    for op in ops:
-        if op[0] == "rotate":
-            states = _rotate(states, op[1])
-            continue
+
+    def pulse_rule(states, k):
+        nonlocal node
         u_count, u_dark, u_a = draws[1 + 3 * k : 4 + 3 * k]
         diag = np.einsum("nii->ni", states).real.clip(min=0.0)
         cdf = np.cumsum(diag @ tables.pmf, axis=1)  # (nodes, n_max + 1)
@@ -593,8 +597,9 @@ def monte_carlo_run(
         any_event[k] |= heralds[k]
         states = states[parent] * tables.count[count]
         tr = np.einsum("nii->n", states).real
-        states = states / np.maximum(tr, 1e-300)[:, None, None]
-        k += 1
+        return states / np.maximum(tr, 1e-300)[:, None, None]
+
+    states = _walk(ops, states, pulse_rule)
     leaf_fid = np.einsum("a,nab,b->n", target_vec.conj(), states, target_vec).real
 
     alive = np.ones(trials, dtype=bool)

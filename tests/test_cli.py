@@ -107,6 +107,10 @@ def test_an_array_too_large_to_allocate_is_exit_2(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+    # numpy's text does not say where the size came from, so the message
+    # ends with the command and its size options, the one given among them
+    command, option = argv[0], argv[-2]
+    assert err.endswith(")\n") and option in err.split(f" ({command}: check ")[1]
 
 
 def _run_module(argv):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from carvesim import CavityParams, PulseConfig, ReflectionModel
 from carvesim.protocols import (
@@ -67,10 +66,20 @@ def _fock_mixture_counts(modes: np.ndarray, pulse: PulseConfig, n_max: int) -> n
     return count
 
 
-@pytest.mark.parametrize("nbar", [0.33, 3.0])
-@pytest.mark.parametrize("noiseless", [False, True])
-@pytest.mark.parametrize("cavity", ["g20", "ideal"])
-def test_count_table_is_the_fock_mixture_where_each_photon_budget_is_one(cavity, noiseless, nbar):
+def _poisson_sum(nu: float, f: np.ndarray) -> np.ndarray:
+    """sum over n < 400 of P(n; nu) f**n, elementwise: f**n is the chance that
+    each of n photons has an outcome of per-photon probability f."""
+    total, p = np.zeros_like(f), math.exp(-nu)
+    for n in range(400):
+        if n:
+            p *= nu / n
+        total += p * f**n
+    return total
+
+
+def _budget_one_case(cavity, noiseless, nbar):
+    """(model, modes, pulse) where every branch's photon budget is 1: g = 20
+    from CavityParams' closed forms, or the ideal cavity."""
     if cavity == "ideal":
         model, (r, s) = ReflectionModel.ideal(), IDEAL_R_S
     else:
@@ -83,6 +92,18 @@ def test_count_table_is_the_fock_mixture_where_each_photon_budget_is_one(cavity,
         pulse = PulseConfig(nbar=nbar, dark_prob=0.0, det_eff=1.0, mode_match=1.0)
     modes = _photon_modes(r, s)
     np.testing.assert_allclose((modes**2).sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    return model, modes, pulse
+
+
+BUDGET_ONE_CASES = pytest.mark.parametrize(
+    "cavity, noiseless, nbar",
+    [(c, q, n) for c in ("g20", "ideal") for q in (False, True) for n in (0.33, 3.0)],
+)
+
+
+@BUDGET_ONE_CASES
+def test_count_table_is_the_fock_mixture_where_each_photon_budget_is_one(cavity, noiseless, nbar):
+    model, modes, pulse = _budget_one_case(cavity, noiseless, nbar)
     tables = _PulseTables(model, pulse)
     oracle = _fock_mixture_counts(modes, pulse, tables.n_max)
     np.testing.assert_allclose(tables.count, oracle, rtol=1e-13, atol=0)
@@ -92,23 +113,53 @@ def test_count_table_is_the_fock_mixture_where_each_photon_budget_is_one(cavity,
     # that case is asserted neither way
 
 
+@BUDGET_ONE_CASES
+def test_herald_and_no_click_tables_are_the_fock_mixture_where_each_photon_budget_is_one(
+    cavity, noiseless, nbar
+):
+    model, modes, pulse = _budget_one_case(cavity, noiseless, nbar)
+    tables = _PulseTables(model, pulse)
+    oracle = _fock_mixture_counts(modes, pulse, tables.n_max)
+    dark, eta = pulse.dark_prob, pulse.det_eff
+    # a herald is any count but a k = 0 without a dark count
+    herald = oracle.sum(axis=0) - (1.0 - dark) * oracle[0]
+    np.testing.assert_allclose(tables.herald_mult, herald, rtol=1e-13, atol=0)
+    # no d click: no d photon detected out of the matched pulse, and no dark count
+    no_d = (1.0 - dark) * np.diagonal(oracle[0])
+    np.testing.assert_allclose(tables.p_no_d, no_d, rtol=1e-13, atol=0)
+    # no a click: no a photon detected out of the matched pulse, nor out of
+    # the unmatched part, which reaches the a detector whole
+    nu = pulse.nbar * pulse.mode_match
+    no_a = _poisson_sum(nu, 1.0 - eta * modes[:, 1] ** 2)
+    no_a *= math.exp(-eta * pulse.nbar * (1.0 - pulse.mode_match))
+    np.testing.assert_allclose(tables.p_no_a, no_a, rtol=1e-13, atol=0)
+    # the default cavity stays asserted neither way, as for the count table
+
+
 @st.composite
 def count_draws(draw):
     """cdf rows with plateaus, a node per trial, and draws that tie, sit at 0
-    or pass a row's last entry; sometimes no draw passes column 0."""
+    or pass a row's last entry; sometimes no draw passes column 0.
+
+    Hypothesis draws the sizes, the share of flat steps and a seed; numpy
+    builds the arrays from the seed, which is far cheaper than drawing every
+    entry through a strategy.
+    """
     n_nodes = draw(st.integers(1, 6))
     width = draw(st.integers(1, 12))
-    entry = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
-    cdf = np.cumsum(draw(arrays(np.float64, (n_nodes, width), elements=entry)), axis=1)
     trials = draw(st.integers(1, 40))
-    node = draw(arrays(np.int64, trials, elements=st.integers(0, n_nodes - 1)))
+    flat = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**64 - 1)))
+    steps = rng.random((n_nodes, width))
+    steps[rng.random((n_nodes, width)) < flat] = 0.0
+    cdf = np.cumsum(steps, axis=1)
+    node = rng.integers(0, n_nodes, trials)
     row = cdf[node]
-    kind = draw(arrays(np.int64, trials, elements=st.integers(0, 3)))
-    free = draw(arrays(np.float64, trials, elements=st.floats(0.0, 1.0, exclude_max=True)))
-    col = draw(arrays(np.int64, trials, elements=st.integers(0, width - 1)))
+    kind = rng.integers(0, 4, trials)
+    col = rng.integers(0, width, trials)
     u = np.select(
         [kind == 0, kind == 1, kind == 2],
-        [free, row[np.arange(trials), col], np.nextafter(row[:, -1], np.inf)],
+        [rng.random(trials), row[np.arange(trials), col], np.nextafter(row[:, -1], np.inf)],
         0.0,
     )
     if draw(st.booleans()):

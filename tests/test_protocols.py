@@ -30,7 +30,7 @@ from carvesim import (
     single_carving_f_ideal,
     wait_evolution,
 )
-from carvesim.protocols import _default_model, _PulseTables
+from carvesim.protocols import _build_ops, _default_model, _PulseTables
 from carvesim.states import ATOM1_UP, ATOM2_UP, N_UP
 
 IDEAL = ReflectionModel.ideal()
@@ -400,6 +400,63 @@ def test_protocol_spec_prep_defaults():
         ProtocolSpec("single", BellKind.PSI_MINUS)
     with pytest.raises(ValueError):
         ProtocolSpec("triple", BellKind.PSI_PLUS)
+
+
+# the seven protocol/target pairs, single carving at three excitation angles
+WALK_SPECS = [ProtocolSpec("double", kind) for kind in BellKind] + [
+    ProtocolSpec("single", kind, alpha=alpha)
+    for kind in (BellKind.PSI_PLUS, BellKind.PHI_PLUS, BellKind.PHI_MINUS)
+    for alpha in (np.pi / 2, 0.2, 3.0)
+]
+
+
+def _reference_walk(spec, pulse, cavity):
+    """run_protocol as a loop of public calls: global_rotation and carve_step, op by op."""
+    prep, ops = _build_ops(spec)
+    state, steps = prepare(prep), []
+    for op in ops:
+        if op[0] == "rotate":
+            state = global_rotation(state, op[1])
+        else:
+            steps.append(carve_step(state, pulse, cavity))
+            state = steps[-1].state
+    return state, steps
+
+
+@pytest.mark.parametrize("cavity", [None, IDEAL], ids=["default", "ideal"])
+@pytest.mark.parametrize(
+    "spec", WALK_SPECS, ids=lambda s: f"{s.scheme}-{s.target.value}-{s.alpha:.3g}"
+)
+def test_run_protocol_is_bitwise_the_reference_walk(spec, cavity):
+    for nbar in (0.02, 0.33, 2.0, 30.0, 300.0):
+        pulse = PulseConfig(nbar=nbar)
+        res = run_protocol(spec, pulse, cavity)
+        state, steps = _reference_walk(spec, pulse, cavity)
+        assert res.state.rho.tobytes() == state.rho.tobytes(), nbar
+        assert res.efficiency == math.prod(s.herald_prob for s in steps)
+        assert res.success_prob == math.prod(s.d_fraction for s in steps)
+        assert len(res.steps) == len(steps)
+        for got, want in zip(res.steps, steps):
+            assert got.state.rho.tobytes() == want.state.rho.tobytes()
+            fields = ("herald_prob", "d_fraction", "any_prob", "branch_log")
+            assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+
+
+def test_run_protocol_validates_only_the_states_it_returns(monkeypatch):
+    # prepare, one state per step and the final state; the rotated states
+    # between the ops stay raw arrays
+    built = []
+    init = TwoAtomState.__init__
+
+    def counted(self, rho):
+        built.append(1)
+        init(self, rho)
+
+    monkeypatch.setattr(TwoAtomState, "__init__", counted)
+    for spec in WALK_SPECS:
+        built.clear()
+        run_protocol(spec, PulseConfig())
+        assert len(built) == 2 + spec.n_pulses, spec
 
 
 # --- Monte Carlo -----------------------------------------------------------

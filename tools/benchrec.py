@@ -76,6 +76,14 @@ BYTE_CASES = {  # name -> carvesim arguments
     "protocol --out r.json": ["protocol", "--out", "r.json"],
     "parity --out p.csv": ["parity", "--out", "p.csv"],
     "lifetime --out l.csv": ["lifetime", "--out", "l.csv"],
+    "sweep single alpha": ["sweep", "--scheme", "single", "--variable", "alpha",
+                           "--start", "0.2", "--stop", "3.0", "--steps", "4"],
+    # large nbar: the Monte Carlo walks stacks of many reached prefix states
+    "sweep nbar to 300": ["sweep", "--variable", "nbar", "--start", "0.1", "--stop", "300",
+                          "--steps", "3"],
+    # few heralds, and the summaries printed in full digits
+    "protocol single --alpha 0.2": ["protocol", "--scheme", "single", "--alpha", "0.2",
+                                    "--trials", "200"],
 }
 
 
