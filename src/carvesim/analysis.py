@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import BellKind, RotationSpec, TwoAtomState, _pair_unitary, bell_vector
+from .states import BellKind, TwoAtomState, _pair_unitary_of, bell_vector
 
 DETECTION_CLASSES = ("down_down", "antiparallel", "up_up")
 
@@ -37,7 +37,8 @@ def parity_of(state: TwoAtomState, phi: float) -> float:
     """
     if abs(state.trace_weight - 1.0) > 1e-9:
         raise ValueError("parity needs a normalized state")
-    u2 = _pair_unitary(RotationSpec(np.pi / 2 - phi, np.pi / 2))
+    # a non-finite phi never hits the cache; its miss builds a RotationSpec, which raises
+    u2 = _pair_unitary_of(np.pi / 2 - phi, np.pi / 2)
     d = (u2 @ state.rho @ u2.conj().T).diagonal().real
     return float(d[0] + d[3] - d[1] - d[2])
 

@@ -59,14 +59,15 @@ _HUSIMI_STATES = ("psi_plus", "psi_minus", "phi_plus", "phi_minus", "down_down")
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="flat key = value config file")
-    common.add_argument("--seed", type=int, help="64-bit Monte Carlo seed")
-    common.add_argument("--trials", type=int, help="Monte Carlo trial count")
     common.add_argument("--out", metavar="PATH", help="output file (default stdout)")
     common.add_argument(
         "--ideal",
         action="store_true",
         help="noiseless limit: perfect cavity, detectors, preparation",
     )
+    mc = argparse.ArgumentParser(add_help=False)
+    mc.add_argument("--seed", type=int, help="64-bit Monte Carlo seed")
+    mc.add_argument("--trials", type=int, help="Monte Carlo trial count")
 
     parser = argparse.ArgumentParser(
         prog="carvesim",
@@ -74,11 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("protocol", parents=[common], help="run one carving protocol")
+    p = sub.add_parser("protocol", parents=[common, mc], help="run one carving protocol")
     _add_protocol_args(p)
     p.set_defaults(func=cmd_protocol, formats=("json", "csv"), sizes=("--trials",))
 
-    p = sub.add_parser("sweep", parents=[common], help="sweep nbar or alpha")
+    p = sub.add_parser("sweep", parents=[common, mc], help="sweep nbar or alpha")
     _add_protocol_args(p)
     p.add_argument("--variable", choices=("nbar", "alpha"), required=True)
     p.add_argument("--start", type=float, required=True)
@@ -107,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=40)
     p.set_defaults(func=cmd_lifetime, formats=("csv", "json"), sizes=("--points",))
 
-    p = sub.add_parser("detect", parents=[common], help="state-detection confusion matrix")
+    p = sub.add_parser("detect", parents=[common, mc], help="state-detection confusion matrix")
     p.add_argument("--rates-file", metavar="PATH", help="override detection count means")
     p.set_defaults(func=cmd_detect, formats=("json",), sizes=("--trials",))
     return parser
@@ -126,7 +127,7 @@ def _add_protocol_args(p: argparse.ArgumentParser) -> None:
 
 def _resolve_config(args) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
-    top = {"seed": args.seed, "trials": args.trials, "output_path": args.out}
+    top = {"output_path": args.out, **{k: getattr(args, k, None) for k in ("seed", "trials")}}
     return with_overrides(config, **{k: v for k, v in top.items() if v is not None})
 
 

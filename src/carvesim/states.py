@@ -16,6 +16,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 BASIS_LABELS = ("uu", "ud", "du", "dd")
 BASIS_INDEX = {label: i for i, label in enumerate(BASIS_LABELS)}
@@ -66,6 +67,14 @@ def bell_vector(kind: BellKind) -> np.ndarray:
     return v
 
 
+@functools.cache
+def _bell_pair(kind: BellKind) -> tuple[np.ndarray, np.ndarray]:
+    """bell_vector(kind) and its conjugate, read-only and built once per kind."""
+    v, v_conj = bell_vector(kind), bell_vector(kind).conj()
+    v.flags.writeable = v_conj.flags.writeable = False
+    return v, v_conj
+
+
 class TwoAtomState:
     """Density matrix of the atom pair, possibly sub-normalized.
 
@@ -79,16 +88,18 @@ class TwoAtomState:
         rho = np.array(rho, dtype=complex)
         if rho.shape != (4, 4):
             raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-        if not np.isfinite(rho).all():
-            raise ValueError("density matrix contains non-finite entries")
         adjoint = rho.conj().T
-        if np.abs(rho - adjoint).max() > HERMITICITY_TOL:
+        # a non-finite entry fails this too: its difference is inf or nan
+        if not np.abs(rho - adjoint).max() <= HERMITICITY_TOL:
+            if not np.isfinite(rho).all():
+                raise ValueError("density matrix contains non-finite entries")
             raise ValueError("density matrix is not Hermitian within 1e-12")
         # 0.5 * (rho + adjoint) in place: the same ufuncs on the same operands
         np.add(rho, adjoint, out=rho)
         np.multiply(0.5, rho, out=rho)
-        eigs = np.linalg.eigvalsh(rho)
-        if eigs[0] < EIGENVALUE_FLOOR:
+        # np.linalg.eigvalsh's kernel without its wrapper: no convergence reads as nan
+        eigs = _umath_linalg.eigvalsh_lo(rho, signature="D->d")
+        if not eigs[0] >= EIGENVALUE_FLOOR:
             raise ValueError(f"density matrix has negative eigenvalue {eigs[0]:.3e}")
         tr = rho.trace().real
         if tr > 1.0 + 1e-9:
@@ -209,8 +220,10 @@ def fidelity(state: TwoAtomState, target: BellKind) -> float:
     """Overlap <psi|rho|psi> with a Bell target; other targets raise ValueError."""
     if abs(state.trace_weight - 1.0) > 1e-9:
         raise ValueError("fidelity needs a normalized state; renormalize first")
-    v = bell_vector(target)
-    return float(np.real(v.conj() @ state.rho @ v))
+    if not isinstance(target, BellKind):
+        raise ValueError(f"unknown Bell kind {target!r}")
+    v, v_conj = _bell_pair(target)
+    return float((v_conj @ state.rho @ v).real)
 
 
 def project(state: TwoAtomState, keep) -> TwoAtomState:

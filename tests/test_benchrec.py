@@ -157,7 +157,8 @@ def test_byte_cases_cover_every_command_and_protocol_pair():
     assert {args[0] for args in cases.values()} == {
         "protocol", "sweep", "parity", "husimi", "lifetime", "detect"}
     pairs = {("double", "psi_plus")} | {
-        (args[2], args[4]) for args in cases.values() if "--target" in args}
+        (args[2], args[4]) for args in cases.values()
+        if args[0] == "protocol" and "--target" in args}
     assert len(pairs) == 7
     assert sum("--out" in args for args in cases.values()) == 3
     assert ["protocol", "--ideal"] in cases.values()
@@ -167,6 +168,11 @@ def test_byte_cases_cover_every_command_and_protocol_pair():
     assert any("alpha" in args and "single" in args for args in sweeps)
     assert any(args[args.index("--stop") + 1] == "300" for args in sweeps)
     assert ["protocol", "--scheme", "single", "--alpha", "0.2", "--trials", "200"] in cases.values()
+    # the tomography commands on a target other than psi_plus
+    assert ["lifetime", "--target", "phi_minus", "--t-max", "150", "--points", "25"] in (
+        cases.values())
+    assert ["parity", "--target", "psi_minus"] in cases.values()
+    assert ["husimi", "--target", "phi_plus"] in cases.values()
 
 
 def test_run_case_captures_exit_code_streams_and_written_files():

@@ -13,7 +13,7 @@ import carvesim
 from carvesim import BellKind, RotationSpec, bell_state, husimi_grid, run_protocol
 from carvesim.analysis import _husimi_axes
 from carvesim.protocols import _default_model
-from carvesim.states import _pair_unitary, _pair_unitary_of, single_qubit_unitary
+from carvesim.states import _bell_pair, _pair_unitary, _pair_unitary_of, single_qubit_unitary
 
 
 def test_cached_arrays_are_read_only(make_state):
@@ -26,6 +26,7 @@ def test_cached_arrays_are_read_only(make_state):
         grid.x,
         grid.y,
     ]
+    cached += [array for kind in BellKind for array in _bell_pair(kind)]
     model = _default_model()
     cached += [model.a_amp, model.d_amp, model.scatter, model.loss]
     for array in cached:
@@ -83,11 +84,12 @@ def test_import_fills_no_cache_and_builds_no_reflection_model():
     probe = (
         "import gc, carvesim, carvesim.cli\n"
         "from carvesim import analysis, protocols, states\n"
-        "caches = (analysis._husimi_axes, states._pair_unitary_of, protocols._default_model)\n"
+        "caches = (analysis._husimi_axes, states._pair_unitary_of, protocols._default_model,"
+        " states._bell_pair)\n"
         "print([c.cache_info().currsize for c in caches],"
         " sum(isinstance(o, carvesim.ReflectionModel) for o in gc.get_objects()))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.splitlines()[-1] == "[0, 0, 0] 0"
+    assert out.splitlines()[-1] == "[0, 0, 0, 0] 0"

@@ -145,7 +145,7 @@ def test_parity_outputs(tmp_path, capsys):
     out = tmp_path / "parity.csv"
     code = main(
         ["parity", "--scheme", "double", "--target", "psi_plus", "--ideal",
-         "--n-phases", "12", "--trials", "100", "--out", str(out)]
+         "--n-phases", "12", "--out", str(out)]
     )
     assert code == 0
     fit = json.loads((tmp_path / "parity.json").read_text())
@@ -353,6 +353,16 @@ def test_config_file_and_overrides(tmp_path, capsys):
     report2 = run_json(capsys, ["protocol", "--config", str(cfg), "--seed", "5"])
     assert report2["monte_carlo"]["seed"] == 5
     assert report2["config_hash"] != report["config_hash"]
+
+
+@pytest.mark.parametrize("command", ["parity", "husimi", "lifetime"])
+@pytest.mark.parametrize("option", ["--seed", "--trials"])
+def test_commands_without_a_monte_carlo_take_no_seed_or_trials(command, option, capsys):
+    # these runs ignore both, so neither may enter the config hash or be validated
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, option, "5"])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {option} 5" in capsys.readouterr().err
 
 
 def test_bad_config_is_exit_1(tmp_path):

@@ -84,6 +84,12 @@ BYTE_CASES = {  # name -> carvesim arguments
     # few heralds, and the summaries printed in full digits
     "protocol single --alpha 0.2": ["protocol", "--scheme", "single", "--alpha", "0.2",
                                     "--trials", "200"],
+    # the tomography path on targets the default cases miss: fidelity's Bell
+    # table rows and parity_of's pulses
+    "lifetime phi_minus": ["lifetime", "--target", "phi_minus", "--t-max", "150",
+                           "--points", "25"],
+    "parity psi_minus": ["parity", "--target", "psi_minus"],
+    "husimi phi_plus": ["husimi", "--target", "phi_plus"],
 }
 
 
