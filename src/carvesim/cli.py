@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("protocol", parents=[common, mc], help="run one carving protocol")
     _add_protocol_args(p)
-    p.set_defaults(func=cmd_protocol, formats=("json", "csv"), sizes=("--trials",))
+    p.set_defaults(func=cmd_protocol, formats=("json", "csv"), sizes=("--trials", "pulse.nbar"))
 
     p = sub.add_parser("sweep", parents=[common, mc], help="sweep nbar or alpha")
     _add_protocol_args(p)
@@ -85,12 +85,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.set_defaults(func=cmd_sweep, formats=("csv",), sizes=("--trials", "--steps"))
+    p.set_defaults(
+        func=cmd_sweep, formats=("csv",), sizes=("--trials", "--steps", "--stop", "pulse.nbar")
+    )
 
     p = sub.add_parser("parity", parents=[common], help="parity scan of a protocol output")
     _add_protocol_args(p)
     p.add_argument("--n-phases", type=int, default=24)
-    p.set_defaults(func=cmd_parity, formats=("csv", "json"), sizes=("--n-phases",))
+    p.set_defaults(func=cmd_parity, formats=("csv", "json"), sizes=("--n-phases", "pulse.nbar"))
 
     p = sub.add_parser("husimi", parents=[common], help="Husimi Q grid")
     _add_protocol_args(p)
@@ -100,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate a named pure state instead of the protocol output",
     )
     p.add_argument("--resolution", default="60x120", help="grid as NTHETAxNPHI")
-    p.set_defaults(func=cmd_husimi, formats=("csv",), sizes=("--resolution",))
+    p.set_defaults(func=cmd_husimi, formats=("csv",), sizes=("--resolution", "pulse.nbar"))
 
     p = sub.add_parser("lifetime", parents=[common], help="dephasing curve and tau fit")
     p.add_argument("--target", choices=sorted(k.value for k in BellKind), default="psi_plus")
@@ -127,7 +129,7 @@ def _add_protocol_args(p: argparse.ArgumentParser) -> None:
 
 def _resolve_config(args) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
-    top = {"output_path": args.out, **{k: getattr(args, k, None) for k in ("seed", "trials")}}
+    top = {k: getattr(args, k, None) for k in ("seed", "trials")}
     return with_overrides(config, **{k: v for k, v in top.items() if v is not None})
 
 
@@ -197,7 +199,7 @@ def _run_command(args, config: RunConfig) -> None:
     report follows the CSV on stdout and a CSV table that is not primary is
     not written.
     """
-    out = config.output_path
+    out = args.out
     primary, *others = args.formats
     paths = {primary: out}
     if out:

@@ -16,7 +16,6 @@ their inputs.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field, replace
 
@@ -40,7 +39,6 @@ class RunConfig:
     noise: NoiseModel = field(default_factory=NoiseModel)
     seed: int = DEFAULT_SEED
     trials: int = DEFAULT_TRIALS
-    output_path: str | None = None
 
     def __post_init__(self):
         if not 0 <= self.seed < 2**64:
@@ -65,7 +63,6 @@ _KEYS = {
     "noise.sigma_diff_2pi_khz": ("noise", "sigma_diff_2pi_khz", float),
     "seed": (None, "seed", int),
     "trials": (None, "trials", int),
-    "output_path": (None, "output_path", str),
 }
 
 # rates-file key -> (DetectionRates field, index into its class triple or None, type)
@@ -176,16 +173,10 @@ def _format_value(value) -> str:
 
 
 def config_text(config: RunConfig) -> str:
-    """Canonical flat-key dump of the run inputs.
-
-    output_path is routing, not an input, and is deliberately excluded so
-    that identical runs hash identically wherever their files land.
-    """
+    """Canonical flat-key dump of the run inputs."""
     lines = []
     for key in sorted(_KEYS):
         section, attr, _ = _KEYS[key]
-        if attr == "output_path":
-            continue
         owner = config if section is None else getattr(config, section)
         lines.append(f"{key} = {_format_value(getattr(owner, attr))}")
     return "\n".join(lines) + "\n"
@@ -193,11 +184,13 @@ def config_text(config: RunConfig) -> str:
 
 def config_hash(config: RunConfig) -> str:
     """Short stable digest of the canonical config text."""
+    import hashlib  # OpenSSL loads only where a config is hashed
+
     return hashlib.sha256(config_text(config).encode("utf-8")).hexdigest()[:16]
 
 
 def with_overrides(config: RunConfig, **top_level) -> RunConfig:
-    """Replace top-level fields (seed, trials, output_path) on a config."""
+    """Replace top-level fields (seed, trials) on a config."""
     try:
         return replace(config, **top_level)
     except ValueError as exc:

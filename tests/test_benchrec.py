@@ -2,6 +2,9 @@ import importlib.util
 import json
 from pathlib import Path
 
+from carvesim import DetectionRates, RunConfig, config_hash
+from carvesim.config import _KEYS, _RATE_KEYS, config_from_values, load_rates, parse_config_text
+
 ROOT = Path(__file__).resolve().parents[1]
 spec = importlib.util.spec_from_file_location("benchrec", ROOT / "tools" / "benchrec.py")
 benchrec = importlib.util.module_from_spec(spec)
@@ -175,9 +178,42 @@ def test_byte_cases_cover_every_command_and_protocol_pair():
     assert ["husimi", "--target", "phi_plus"] in cases.values()
 
 
+def test_byte_cases_read_every_config_and_rates_key(tmp_path):
+    files = benchrec.INPUT_FILES
+    named = {name: [args[0] for args in benchrec.BYTE_CASES.values() if name in args]
+             for name in files}
+    assert named == {"every_key.cfg": ["protocol", "sweep"], "noise.cfg": ["lifetime"],
+                     "rates.txt": ["detect"]}
+    # every run-config key, each off its default
+    values = parse_config_text(files["every_key.cfg"])
+    assert set(values) == set(_KEYS)
+    default = RunConfig()
+    for key, value in values.items():
+        section, attr, _ = _KEYS[key]
+        owner = default if section is None else getattr(default, section)
+        assert getattr(owner, attr) != value, key
+    assert set(parse_config_text(files["noise.cfg"])) == {
+        "noise.sigma_common_2pi_khz", "noise.sigma_diff_2pi_khz"}
+    # every rates key, and a set of rates other than the default
+    assert set(parse_config_text(files["rates.txt"], _RATE_KEYS)) == set(_RATE_KEYS)
+    (tmp_path / "rates.txt").write_text(files["rates.txt"])
+    assert load_rates(tmp_path / "rates.txt") != DetectionRates()
+
+
 def test_run_case_captures_exit_code_streams_and_written_files():
     got = benchrec.run_case(["lifetime", "--points", "5", "--out", "l.csv"], benchrec.ROOT)
     assert set(got) == {"exit code", "stdout", "stderr", "file l.csv", "file l.json"}
     assert (got["exit code"], got["stdout"], got["stderr"]) == ("0", "", "")
     assert got["file l.csv"].startswith("# carvesim lifetime\n")
     assert json.loads(got["file l.json"])["command"] == "lifetime"
+
+
+def test_run_case_writes_the_input_files_it_names_and_reports_only_outputs():
+    got = benchrec.run_case(["lifetime", "--config", "noise.cfg", "--points", "5",
+                             "--out", "l.csv"], benchrec.ROOT)
+    assert set(got) == {"exit code", "stdout", "stderr", "file l.csv", "file l.json"}
+    assert (got["exit code"], got["stderr"]) == ("0", "")
+    # the config was read: its noise is hashed into the report
+    noise = config_from_values(parse_config_text(benchrec.INPUT_FILES["noise.cfg"]))
+    assert json.loads(got["file l.json"])["config_hash"] == config_hash(noise) != config_hash(
+        RunConfig())

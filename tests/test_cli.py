@@ -92,24 +92,36 @@ def test_sweep_rejects_bad_range(capsys, recwarn):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, option",
     [
-        ["lifetime", "--points", "100000000000000"],
-        ["protocol", "--trials", "100000000000000"],
-        ["sweep", "--variable", "nbar", "--start", "0.1", "--stop", "0.7",
-         "--steps", "100000000000000"],
+        (["lifetime", "--points", "100000000000000"], "--points"),
+        (["protocol", "--trials", "100000000000000"], "--trials"),
+        (["sweep", "--variable", "nbar", "--start", "0.1", "--stop", "0.7",
+          "--steps", "100000000000000"], "--steps"),
+        # nbar sets the pulse table's n_max, and so the length of its arrays
+        (["protocol", "--config", "nbar.cfg"], "pulse.nbar"),
+        (["parity", "--config", "nbar.cfg"], "pulse.nbar"),
+        (["husimi", "--config", "nbar.cfg"], "pulse.nbar"),
+        (["sweep", "--config", "nbar.cfg", "--scheme", "single", "--variable", "alpha",
+          "--start", "0.2", "--stop", "1.0", "--steps", "2"], "pulse.nbar"),
+        (["sweep", "--variable", "nbar", "--start", "0.1", "--stop", "1e15", "--steps", "2"],
+         "--stop"),
     ],
-    ids=["lifetime", "protocol", "sweep"],
+    ids=["lifetime", "protocol", "sweep", "protocol nbar", "parity nbar", "husimi nbar",
+         "sweep alpha nbar", "sweep nbar --stop"],
 )
-def test_an_array_too_large_to_allocate_is_exit_2(argv, capsys):
+def test_an_array_too_large_to_allocate_is_exit_2(argv, option, tmp_path, monkeypatch, capsys):
     # each size is past the 128 TiB of a 64-bit address space, so the first
-    # large array fails to allocate before any memory is taken
+    # large array fails to allocate before any memory is taken; nbar = 1e15
+    # asks for 1.60 PiB
+    (tmp_path / "nbar.cfg").write_text("pulse.nbar = 1e15\n")
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
     # numpy's text does not say where the size came from, so the message
-    # ends with the command and its size options, the one given among them
-    command, option = argv[0], argv[-2]
+    # ends with the command and its size options, the one that set it among them
+    command = argv[0]
     assert err.endswith(")\n") and option in err.split(f" ({command}: check ")[1]
 
 

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from dataclasses import fields, is_dataclass
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import carvesim
 from carvesim import (
     CavityParams,
     ConfigError,
@@ -12,7 +19,9 @@ from carvesim import (
     config_hash,
     load_config,
 )
+from carvesim.cli import main
 from carvesim.config import (
+    _KEYS,
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     config_from_values,
@@ -50,7 +59,6 @@ def test_defaults():
     assert cfg.seed == DEFAULT_SEED == 123456789
     assert cfg.trials == DEFAULT_TRIALS == 20000
     assert cfg.pulse.nbar == pytest.approx(0.33)
-    assert cfg.output_path is None
 
 
 def test_parse_full_config():
@@ -118,8 +126,79 @@ def test_hash_is_stable_and_sensitive():
     assert config_hash(RunConfig()) == "d544dc06a5643a8a"
     assert h == config_hash(build(FULL))
     assert config_hash(with_overrides(cfg, seed=100)) != h
-    # where the output lands is routing, not an input
-    assert config_hash(with_overrides(cfg, output_path="elsewhere.json")) == h
+
+
+# a valid value other than the default for every key
+OTHER = {
+    "cavity.g_2pi_mhz": 6.5,
+    "cavity.kappa_2pi_mhz": 3.0,
+    "cavity.kappa_out_2pi_mhz": 1.9,
+    "cavity.gamma_2pi_mhz": 2.5,
+    "pulse.nbar": 0.5,
+    "pulse.dark_prob": 0.02,
+    "pulse.det_eff": 0.5,
+    "pulse.mode_match": 0.8,
+    "prep.kind": "antiparallel",
+    "prep.fidelity": 0.95,
+    "noise.sigma_common_2pi_khz": 1.5,
+    "noise.sigma_diff_2pi_khz": 1.0,
+    "seed": 7,
+    "trials": 500,
+}
+
+
+def leaf_fields(config: RunConfig):
+    """(component or None, field) of every value a RunConfig holds."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            yield from ((f.name, g.name) for g in fields(value))
+        else:
+            yield None, f.name
+
+
+def test_every_field_has_one_key_and_one_config_text_line():
+    leaves = list(leaf_fields(RunConfig()))
+    entries = [(section, attr) for section, attr, _ in _KEYS.values()]
+    assert len(set(leaves)) == len(leaves) == len(entries)
+    assert set(entries) == set(leaves)
+    names = [line.split(" = ")[0] for line in config_text(RunConfig()).splitlines()]
+    assert names == sorted(_KEYS)
+
+
+def test_changing_any_one_field_changes_the_hash():
+    assert set(OTHER) == set(_KEYS)
+    base = RunConfig()
+    hashes = {config_hash(base)}
+    for key, value in OTHER.items():
+        section, attr, _ = _KEYS[key]
+        owner = base if section is None else getattr(base, section)
+        assert getattr(owner, attr) != value, key
+        hashes.add(config_hash(config_from_values({key: value})))
+    assert len(hashes) == 1 + len(OTHER)
+
+
+def test_a_config_file_cannot_route_the_output(tmp_path, monkeypatch, capsys):
+    # where the output goes is --out's job; a config holds only the run's inputs
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("output_path = x.json\n")
+    assert main(["protocol", "--config", "run.cfg"]) == 1
+    assert capsys.readouterr() == ("", "config error: line 1: unknown key 'output_path'\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+def test_import_loads_no_hashlib_until_a_config_is_hashed():
+    src = str(Path(carvesim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys, carvesim\n"
+        "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+        "print(carvesim.config_hash(carvesim.RunConfig()))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines() == ["[]", "d544dc06a5643a8a"]
 
 
 def test_overrides_leave_base_untouched():

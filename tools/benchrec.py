@@ -31,7 +31,8 @@ in how many pairs this checkout was better. The verdict is "gain holds"
 only read BENCHMARK.json and perfbench/.
 
 bytes runs each CLI case of BYTE_CASES as `python3 -m carvesim ...` in a
-fresh directory, with the src/ of OTHER_CHECKOUT (the parent) and then of
+fresh directory that holds only the INPUT_FILES the case names (a config or
+rates file), with the src/ of OTHER_CHECKOUT (the parent) and then of
 this checkout, and prints per case "same" or the first place the two runs
 differ: the exit code, then stdout, stderr and each written file, as the
 first differing line and the number of lines that differ. A change that
@@ -90,6 +91,43 @@ BYTE_CASES = {  # name -> carvesim arguments
                            "--points", "25"],
     "parity psi_minus": ["parity", "--target", "psi_minus"],
     "husimi phi_plus": ["husimi", "--target", "phi_plus"],
+    # the file readers: every config key off its default, the noise keys
+    # alone, and every rates key
+    "protocol --config": ["protocol", "--config", "every_key.cfg"],
+    "sweep --config": ["sweep", "--config", "every_key.cfg", "--variable", "nbar",
+                       "--start", "0.1", "--stop", "0.7", "--steps", "3"],
+    "lifetime --config": ["lifetime", "--config", "noise.cfg"],
+    "detect --rates-file": ["detect", "--rates-file", "rates.txt"],
+}
+# input files, each written into the directory of a case that names it
+INPUT_FILES = {
+    "every_key.cfg": """\
+cavity.g_2pi_mhz = 7.123456789012345
+cavity.kappa_2pi_mhz = 2.6
+cavity.kappa_out_2pi_mhz = 2.2
+cavity.gamma_2pi_mhz = 3.1
+pulse.nbar = 0.45
+pulse.dark_prob = 0.02
+pulse.det_eff = 0.4
+pulse.mode_match = 0.85
+prep.kind = antiparallel
+prep.fidelity = 0.9
+noise.sigma_common_2pi_khz = 1.5
+noise.sigma_diff_2pi_khz = 1.0
+seed = 2024
+trials = 3000
+""",
+    "noise.cfg": "noise.sigma_common_2pi_khz = 1.5\nnoise.sigma_diff_2pi_khz = 1.0\n",
+    "rates.txt": """\
+transmission.down_down = 8.5
+transmission.antiparallel = 1.2
+transmission.up_up = 0.25
+fluorescence.down_down = 5.5
+fluorescence.antiparallel = 2.5
+fluorescence.up_up = 0.05
+threshold.transmission = 4
+threshold.fluorescence = 1
+""",
 }
 
 
@@ -248,15 +286,20 @@ def verdict(metric: dict, parent: dict, change: dict, wins: int) -> str:
 
 def run_case(args: list[str], root: Path) -> dict[str, str]:
     """Exit code, stdout, stderr and the files written, of carvesim ARGS run
-    with the src/ of the checkout at root in an empty directory."""
+    with the src/ of the checkout at root in a directory that holds only the
+    INPUT_FILES named in ARGS."""
     def text(raw: bytes) -> str:  # every byte kept, line ends included
         return raw.decode("utf-8", "backslashreplace")
 
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    inputs = {name: INPUT_FILES[name] for name in args if name in INPUT_FILES}
     with tempfile.TemporaryDirectory() as cwd:
+        for name, content in inputs.items():
+            (Path(cwd) / name).write_text(content, encoding="utf-8")
         proc = subprocess.run([sys.executable, "-m", "carvesim", *args], cwd=cwd, env=env,
                               capture_output=True)
-        files = {f"file {p.name}": text(p.read_bytes()) for p in sorted(Path(cwd).iterdir())}
+        files = {f"file {p.name}": text(p.read_bytes()) for p in sorted(Path(cwd).iterdir())
+                 if p.name not in inputs}
     return {"exit code": str(proc.returncode), "stdout": text(proc.stdout),
             "stderr": text(proc.stderr), **files}
 
